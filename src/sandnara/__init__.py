@@ -24,7 +24,6 @@ from .classes import (
     stirling2,
     wave,
 )
-from .config import RunConfig
 from .kn import (
     DyckPath,
     KnConfig,

@@ -49,10 +49,6 @@ class BivarPoly:
     def monomial(cls, dq: int, dt: int, coeff: int = 1) -> "BivarPoly":
         return cls({(dq, dt): coeff})
 
-    @classmethod
-    def const(cls, c: int) -> "BivarPoly":
-        return cls({(0, 0): c})
-
     # -- views ------------------------------------------------------------
 
     @property

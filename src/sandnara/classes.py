@@ -22,18 +22,18 @@ from .errors import (
     InvalidMatrix,
     NotIntervalOrder,
     NotMinanz,
-    NotRecurrent,
     NotUpperTriangular,
     VertexNotToppled,
 )
 from .polyomino import narayana_number
 from .sandpile import (
     BipartiteConfig,
+    TopplingTrace,
     canon_top,
     enumerate_rec_star,
-    is_recurrent,
     level,
     _distinct_perms,
+    _require_recurrent,
 )
 
 __all__ = [
@@ -64,11 +64,6 @@ __all__ = [
 # -- predicates ---------------------------------------------------------------
 
 
-def _require_recurrent(config: BipartiteConfig) -> None:
-    if not is_recurrent(config):
-        raise NotRecurrent(f"{config!r} is not recurrent")
-
-
 def is_minimal(config: BipartiteConfig) -> bool:
     """Level 0, i.e. grain total n(m-1); equivalently the cell image is a ribbon."""
     _require_recurrent(config)
@@ -78,11 +73,18 @@ def is_minimal(config: BipartiteConfig) -> bool:
 def is_minanz(config: BipartiteConfig) -> bool:
     """Minimal with every vertex other than v_m non-empty (v_m is then forced empty)."""
     _require_recurrent(config)
-    if level(config) != 0:
-        return False
+    return _minanz_heights(config)
+
+
+def _minanz_heights(config: BipartiteConfig) -> bool:
+    """is_minanz for a configuration already known to be recurrent."""
     h = config.heights
     vm = config.m - 1  # 0-based index of v_m
-    return h[vm] == 0 and all(v > 0 for i, v in enumerate(h) if i != vm)
+    return (
+        level(config) == 0
+        and h[vm] == 0
+        and all(v > 0 for i, v in enumerate(h) if i != vm)
+    )
 
 
 def wave(config: BipartiteConfig, vertex: int) -> int:
@@ -95,6 +97,9 @@ def wave(config: BipartiteConfig, vertex: int) -> int:
     return w
 
 
+_SQUARE_ONLY = "top-heavy is defined for square configurations only"
+
+
 def is_top_heavy(config: BipartiteConfig) -> bool:
     """Square minanz state where each top vertex topples no later than its
     partner bottom vertex: wave(v_x) <= wave(v_{n+x}) for 1 <= x < n.
@@ -102,13 +107,18 @@ def is_top_heavy(config: BipartiteConfig) -> bool:
     Equivalent to the matrix image being upper-triangular, since vertex x
     lands in row wave(v_x) and column wave(v_{n+x}).
     """
+    if config.m != config.n:  # before burning: non-square never reaches NotRecurrent
+        raise NotMinanz(_SQUARE_ONLY)
+    return _top_heavy_trace(config, _require_recurrent(config).trace)
+
+
+def _top_heavy_trace(config: BipartiteConfig, trace: TopplingTrace) -> bool:
+    """is_top_heavy for a configuration already known to be recurrent, given
+    its wave trace."""
     if config.m != config.n:
-        raise NotMinanz("top-heavy is defined for square configurations only")
-    if not is_minanz(config):
-        return False
+        raise NotMinanz(_SQUARE_ONLY)
     n = config.n
-    trace = canon_top(config)
-    return all(
+    return _minanz_heights(config) and all(
         trace.wave_of(x) <= trace.wave_of(n + x) for x in range(1, n)
     )
 
@@ -186,9 +196,9 @@ def matrix_of_config(config: BipartiteConfig) -> BicompMatrix:
     n = config.n
     if config.m != n:
         raise NotMinanz("matrix correspondence needs a square configuration")
-    if not is_minanz(config):
+    trace = _require_recurrent(config).trace
+    if not _minanz_heights(config):
         raise NotMinanz(f"{config!r} is not minanz")
-    trace = canon_top(config)
     qs = trace.bottom_waves()
     ps = trace.top_waves()
     if qs[-1] != frozenset({n}):
@@ -431,10 +441,6 @@ def enumerate_minanz(
         for t in _distinct_perms(a):
             for rest in _distinct_perms(b[1:]):
                 yield BipartiteConfig(m, n, t + (0,) + rest)
-
-
-def enumerate_sqrec(n: int, max_objects: int | None = None) -> Iterator[BipartiteConfig]:
-    return enumerate_minanz(n, n, max_objects)
 
 
 def stirling2(n: int, k: int) -> int:

@@ -25,11 +25,10 @@ import itertools
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .bivar import BivarPoly
-from .config import RunConfig
+from .config import Check
 from .classes import (
     BicompMatrix,
     IntervalOrder,
@@ -41,9 +40,10 @@ from .classes import (
     count_sqrec,
     enumerate_minanz,
     is_minanz,
-    is_top_heavy,
     matrix_of_config,
     poset_of_matrix,
+    _minanz_heights,
+    _top_heavy_trace,
 )
 from .errors import ResourceLimit, SandnaraError
 from .kn import (
@@ -70,7 +70,7 @@ from .qt import (
 )
 from .sandpile import (
     BipartiteConfig,
-    canon_top,
+    burn,
     cell_image,
     config_of_para,
     count_rec,
@@ -121,11 +121,15 @@ def _heights(text: str) -> tuple[int, ...]:
 
 def _read_input(spec: str) -> dict:
     if spec == "-":
-        return json.loads(sys.stdin.read())
-    if spec.startswith("@"):
+        data = json.loads(sys.stdin.read())
+    elif spec.startswith("@"):
         with open(spec[1:], encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(spec)
+            data = json.load(fh)
+    else:
+        data = json.loads(spec)
+    if not isinstance(data, dict):
+        raise ValueError(f"--input must be a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _poly_json(poly: BivarPoly, fmt: str) -> dict:
@@ -156,19 +160,35 @@ def cmd_check(args) -> int:
     m = args.m if args.m is not None else args.n
     cfg = BipartiteConfig(m, args.n, args.heights)
     out: dict = {"m": m, "n": args.n, "heights": list(cfg.heights)}
-    if args.what == "recurrent":
-        out["result"] = is_recurrent(cfg)
-    elif args.what == "minanz":
-        out["result"] = is_recurrent(cfg) and is_minanz(cfg)
-    else:  # top-heavy
-        out["result"] = is_recurrent(cfg) and is_top_heavy(cfg)
-    if args.verbose and cfg.is_stable():
-        out["trace"] = canon_top(cfg).to_json()
+    burnt = burn(cfg) if cfg.is_stable() else None
+    result = burnt is not None and burnt.recurrent
+    if result and args.what == "minanz":
+        result = _minanz_heights(cfg)
+    elif result and args.what == "top-heavy":
+        result = _top_heavy_trace(cfg, burnt.trace)
+    out["result"] = result
+    if args.verbose and burnt is not None:
+        out["trace"] = burnt.trace.to_json()
     _emit(out, args.format)
     return EXIT_OK
 
 
+def _map_needs(args) -> None:
+    """Reject a map call that lacks an argument its direction needs."""
+    if args.inverse or args.what == "upsilon":
+        needed = ("input",)
+    elif args.what == "to-polyomino":
+        needed = ("m", "n", "heights")
+    else:
+        needed = ("n", "heights")
+    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    if missing:
+        how = " --inverse" if args.inverse else ""
+        raise ValueError(f"map {args.what}{how} needs {' '.join(missing)}")
+
+
 def cmd_map(args) -> int:
+    _map_needs(args)
     fmt = args.format
     if args.what == "to-polyomino":
         if args.inverse:
@@ -232,67 +252,27 @@ def cmd_poly(args) -> int:
     return EXIT_OK
 
 
-def _check_entry(name: str, holds: bool, detail: str = "") -> dict:
-    out = {"name": name, "holds": holds}
-    if detail:
-        out["detail"] = detail
-    return out
-
-
-def _verify_symmetry(args) -> list[dict]:
+def _verify_symmetry(args) -> list[Check]:
     checks = []
-    pairs = [
-        (m, n)
-        for s in range(2, args.max_sum + 1)
-        for m in range(1, s)
-        for n in (s - m,)
-    ]
-
-    def one(pair):
-        m, n = pair
-        qt = check_qt_symmetry(m, n, args.max_objects)
-        out = [
-            _check_entry(
-                f"qt-symmetry {m},{n}",
-                qt.holds,
-                "" if qt.holds else f"first offending term {qt.first_offending_term}",
-            )
-        ]
-        if m < n:
-            mn = check_mn_symmetry(m, n, args.max_objects)
-            out.append(
-                _check_entry(
-                    f"mn-symmetry {m},{n}",
-                    mn.holds,
-                    "" if mn.holds else f"first offending term {mn.first_offending_term}",
-                )
-            )
-        return out
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for res in pool.map(one, pairs):
-                checks.extend(res)
-    else:
-        for pair in pairs:
-            checks.extend(one(pair))
+    for s in range(2, args.max_sum + 1):
+        for m in range(1, s):
+            n = s - m
+            checks.append(check_qt_symmetry(m, n, args.max_objects))
+            if m < n:
+                checks.append(check_mn_symmetry(m, n, args.max_objects))
     for m in range(2, args.transfer_m + 1):
         polys = transfer_matrix_F(m, args.transfer_n, args.max_objects)
         ok = all(p.is_qt_symmetric() for p in polys)
-        checks.append(
-            _check_entry(f"qt-symmetry transfer m={m} n<={args.transfer_n}", ok)
-        )
+        checks.append(Check(f"qt-symmetry transfer m={m} n<={args.transfer_n}", ok))
         small = min(6, args.transfer_n)
         agree = all(
             polys[k - 1] == narayana_poly(m, k) for k in range(1, small + 1)
         )
-        checks.append(
-            _check_entry(f"transfer==enumeration m={m} n<={small}", agree)
-        )
+        checks.append(Check(f"transfer==enumeration m={m} n<={small}", agree))
     return checks
 
 
-def _verify_counts(args) -> list[dict]:
+def _verify_counts(args) -> list[Check]:
     checks = []
     for s in range(4, args.max + 1):
         for m in range(2, s - 1):
@@ -301,7 +281,7 @@ def _verify_counts(args) -> list[dict]:
                 continue
             ribbons = sum(1 for p in enumerate_para(m, n, args.max_objects) if p.is_ribbon())
             checks.append(
-                _check_entry(
+                Check(
                     f"minimal count {m},{n}",
                     ribbons == count_minimal(m, n),
                     f"enumerated {ribbons}",
@@ -313,7 +293,7 @@ def _verify_counts(args) -> list[dict]:
                 if is_minanz(cfg)
             )
             checks.append(
-                _check_entry(
+                Check(
                     f"minanz count {m},{n}",
                     minanz_inc == count_minanz(m, n),
                     f"enumerated {minanz_inc}",
@@ -321,7 +301,7 @@ def _verify_counts(args) -> list[dict]:
             )
             stars = sum(1 for _ in enumerate_rec_star(m, n, args.max_objects))
             checks.append(
-                _check_entry(
+                Check(
                     f"increasing-recurrent count {m},{n}",
                     stars == narayana_number(m + n - 1, m),
                     f"enumerated {stars}",
@@ -335,7 +315,7 @@ def _verify_counts(args) -> list[dict]:
                     if is_recurrent(BipartiteConfig(m, n, t + b))
                 )
                 checks.append(
-                    _check_entry(
+                    Check(
                         f"recurrent count (burning filter) {m},{n}",
                         brute == count_rec(m, n),
                         f"enumerated {brute}",
@@ -344,7 +324,7 @@ def _verify_counts(args) -> list[dict]:
     for n in range(2, args.max // 2 + 1):
         got = sum(1 for _ in enumerate_minanz(n, n, args.max_objects))
         checks.append(
-            _check_entry(
+            Check(
                 f"square minanz count n={n}",
                 got == count_sqrec(n),
                 f"enumerated {got}",
@@ -353,16 +333,14 @@ def _verify_counts(args) -> list[dict]:
     return checks
 
 
-def _verify_olson(args) -> list[dict]:
+def _verify_olson(args) -> list[Check]:
     checks = []
     for n in range(2, args.max + 1):
-        rep = olson_check(n, args.max_objects)
-        checks.append(_check_entry(f"olson n={n}", rep.holds, rep.detail))
-        link = bounce_link_check(n, args.max_objects)
-        checks.append(_check_entry(f"bounce-link n={n}", link.holds, link.detail))
+        checks.append(olson_check(n, args.max_objects))
+        checks.append(bounce_link_check(n, args.max_objects))
         cnt = sum(1 for _ in enumerate_sorted_recurrent(n, args.max_objects))
         checks.append(
-            _check_entry(
+            Check(
                 f"sorted recurrent count n={n}",
                 cnt == catalan(n - 1),
                 f"enumerated {cnt}",
@@ -371,7 +349,7 @@ def _verify_olson(args) -> list[dict]:
     return checks
 
 
-def _verify_conjecture(args) -> list[dict]:
+def _verify_conjecture(args) -> list[Check]:
     checks = []
     for n in range(2, args.max + 1):
         rep = count_nonzero_star(n, args.max_objects)
@@ -379,17 +357,12 @@ def _verify_conjecture(args) -> list[dict]:
         if not rep.matches:
             detail += " (conjecture-falsifying mismatch; reported, not asserted)"
         checks.append(
-            {
-                "name": f"conjecture-a145600 n={n}",
-                "holds": rep.matches,
-                "conjecture": True,
-                "detail": detail,
-            }
+            Check(f"conjecture-a145600 n={n}", rep.matches, detail, conjecture=True)
         )
     return checks
 
 
-def _verify_kn_area(args) -> list[dict]:
+def _verify_kn_area(args) -> list[Check]:
     import importlib.resources as resources
 
     with resources.files("sandnara").joinpath("data/kn_area_relation.json").open() as fh:
@@ -408,7 +381,7 @@ def _verify_kn_area(args) -> list[dict]:
         closed = (n - 1) * (6 - n) // 2
         ok = derived is not None and derived == expect == closed and companion_ok
         checks.append(
-            _check_entry(
+            Check(
                 f"kn-area n={n}",
                 ok,
                 f"derived c({n})={derived}, fixture {expect}, closed form {closed}",
@@ -417,7 +390,7 @@ def _verify_kn_area(args) -> list[dict]:
     return checks
 
 
-def _verify_abelian(args) -> list[dict]:
+def _verify_abelian(args) -> list[Check]:
     rng = random.Random(args.seed)
     m, n = args.m, args.n
     checks = []
@@ -449,19 +422,19 @@ def _verify_abelian(args) -> list[dict]:
         ok = tuple(h) == ref_final.heights and tuple(counts) == ref_counts
         if not ok:
             checks.append(
-                _check_entry(f"abelian trial {trial}", False, f"start {heights}")
+                Check(f"abelian trial {trial}", False, f"start {heights}")
             )
     checks.append(
-        _check_entry(
+        Check(
             f"abelian property m={m} n={n} ({args.samples} random policies)",
-            all(c["holds"] for c in checks) if checks else True,
+            all(c.holds for c in checks),
         )
     )
     return checks
 
 
 def cmd_verify(args) -> int:
-    checks: list[dict] = []
+    checks: list[Check] = []
     what = args.what
     if what in ("symmetry", "all"):
         checks.extend(_verify_symmetry(args))
@@ -475,11 +448,9 @@ def cmd_verify(args) -> int:
         checks.extend(_verify_kn_area(args))
     if what in ("abelian", "all"):
         checks.extend(_verify_abelian(args))
-    hard_failures = [
-        c for c in checks if not c["holds"] and not c.get("conjecture", False)
-    ]
+    hard_failures = [c for c in checks if not c.holds and not c.conjecture]
     out = {
-        "checks": checks,
+        "checks": [c.to_json() for c in checks],
         "passed": not hard_failures,
         "failures": len(hard_failures),
     }
@@ -500,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", default="json", choices=["json", "csv", "matrix"])
         p.add_argument("--max-objects", type=int, default=None, dest="max_objects")
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("stabilize", help="topple to the stable state")
     p.add_argument("--m", type=int, required=True)
@@ -575,15 +545,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # validate the shared options up front
-        RunConfig(
-            max_objects=args.max_objects,
-            jobs=args.jobs,
-            output_format=args.format,
-            seed=getattr(args, "seed", None),
-            m=getattr(args, "m", None),
-            n=getattr(args, "n", None),
-        )
         return args.func(args)
     except ResourceLimit as exc:
         sys.stderr.write(json.dumps({"error": "resource-limit", "detail": str(exc)}) + "\n")

@@ -1,9 +1,13 @@
-"""Run configuration and enumeration caps.
+"""Enumeration caps and the check record.
 
 All enumerations in the library are guarded by an object cap so that a typo
 in a size parameter fails fast instead of running for hours.  The default cap
 can be overridden per call or globally through the ``SANDPILE_MAX_OBJECTS``
 environment variable.
+
+Every identity or conjecture test reports one `Check`: a named statement,
+whether it holds, and optional detail.  Conjectural checks are reported and
+never count as failures.
 """
 
 from __future__ import annotations
@@ -25,9 +29,15 @@ def object_cap(override: int | None = None) -> int:
             raise ValueError("object cap must be >= 1")
         return override
     env = os.environ.get(ENV_MAX_OBJECTS)
-    if env is not None:
-        return max(1, int(env))
-    return DEFAULT_MAX_OBJECTS
+    if env is None:
+        return DEFAULT_MAX_OBJECTS
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0  # rejected below together with the values under 1
+    if cap < 1:
+        raise ValueError(f"{ENV_MAX_OBJECTS} must be an integer >= 1, got {env!r}")
+    return cap
 
 
 def guard_count(count: int, max_objects: int | None, what: str) -> int:
@@ -38,31 +48,19 @@ def guard_count(count: int, max_objects: int | None, what: str) -> int:
     return count
 
 
-@dataclass
-class RunConfig:
-    """Options shared by CLI commands.
+@dataclass(frozen=True)
+class Check:
+    """Outcome of one verification; a conjecture is reported, never asserted."""
 
-    max_objects: enumeration cap (see `object_cap`).
-    jobs: worker count for verification jobs that fan out over independent
-        size pairs; 1 means sequential.
-    output_format: "json", "csv" or "matrix".
-    seed: RNG seed for randomized checks (abelian-property sampling).
-    m, n: size parameters, where the command needs them.
-    """
+    name: str
+    holds: bool
+    detail: str = ""
+    conjecture: bool = False
 
-    max_objects: int | None = None
-    jobs: int = 1
-    output_format: str = "json"
-    seed: int | None = None
-    m: int | None = None
-    n: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.output_format not in ("json", "csv", "matrix"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-
-    @property
-    def cap(self) -> int:
-        return object_cap(self.max_objects)
+    def to_json(self) -> dict:
+        out: dict = {"name": self.name, "holds": self.holds}
+        if self.detail:
+            out["detail"] = self.detail
+        if self.conjecture:
+            out["conjecture"] = True
+        return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .bivar import BivarPoly
-from .config import guard_count
+from .config import Check, guard_count
 from .errors import NotRecurrent, NotSorted
 from .polyomino import CellSet, ParaPolyomino
 
@@ -351,21 +351,7 @@ def sn_poly(n: int, max_objects: int | None = None) -> BivarPoly:
     return BivarPoly(acc)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    n: int
-    holds: bool
-    detail: str = ""
-
-    def to_json(self) -> dict:
-        out = {"name": self.name, "n": self.n, "holds": self.holds}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-
-def olson_check(n: int, max_objects: int | None = None) -> IdentityReport:
+def olson_check(n: int, max_objects: int | None = None) -> Check:
     """S_n(q,t) == (qt)^(2(n-1)) * C_{n-1}(q, t^2), both sides independent."""
     lhs = sn_poly(n, max_objects)
     rhs = (
@@ -375,13 +361,14 @@ def olson_check(n: int, max_objects: int | None = None) -> IdentityReport:
     )
     ok = lhs == rhs
     detail = "" if ok else f"lhs={lhs!r} rhs={rhs!r}"
-    return IdentityReport("olson", n, ok, detail)
+    return Check(f"olson n={n}", ok, detail)
 
 
-def bounce_link_check(n: int, max_objects: int | None = None) -> IdentityReport:
+def bounce_link_check(n: int, max_objects: int | None = None) -> Check:
     """For every sorted recurrent state: the polyomino bounce runs double up
     the wave sizes, the Dyck bounce equals the wave sizes, and
     bounce_weight = 2 * (haglund bounce + n - 1)."""
+    name = f"bounce-link n={n}"
     for cfg in enumerate_sorted_recurrent(n, max_objects):
         waves = kn_canon_top(cfg)
         sizes = tuple(len(w) for w in waves)
@@ -389,15 +376,9 @@ def bounce_link_check(n: int, max_objects: int | None = None) -> IdentityReport:
         path = dyck_of(poly)
         paired = tuple(s for size in sizes for s in (size, size))
         if poly.bounce_seq() != paired:
-            return IdentityReport(
-                "bounce_link", n, False, f"bounce pairing fails at {cfg!r}"
-            )
+            return Check(name, False, f"bounce pairing fails at {cfg!r}")
         if haglund_bounce(path) != sizes:
-            return IdentityReport(
-                "bounce_link", n, False, f"dyck bounce fails at {cfg!r}"
-            )
+            return Check(name, False, f"dyck bounce fails at {cfg!r}")
         if poly.bounce_weight != 2 * (haglund_bounce_stat(path) + n - 1):
-            return IdentityReport(
-                "bounce_link", n, False, f"weight relation fails at {cfg!r}"
-            )
-    return IdentityReport("bounce_link", n, True)
+            return Check(name, False, f"weight relation fails at {cfg!r}")
+    return Check(name, True)

@@ -104,10 +104,6 @@ class ParaPolyomino:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ParaPolyomino is immutable")
 
-    @classmethod
-    def from_words(cls, upper: str, lower: str) -> "ParaPolyomino":
-        return para_from_paths(upper, lower)
-
     # -- path views ------------------------------------------------------
 
     @property

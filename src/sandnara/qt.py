@@ -4,7 +4,7 @@ F_{m,n}(q, t) is the generating polynomial of (area, bounce weight) over all
 parallelogram polyominoes in an m x n box.  Three independent routes compute
 it here:
 
-* `narayana_poly` sums the bistatistic over the full enumeration;
+* `narayana_poly` sums q^area t^bounce_weight over the full enumeration;
 * `transfer_matrix_F` runs a row-by-row dynamic program whose state carries
   the current row interval together with the bounce path position and its
   running weight, giving all of F_{m,1..n_max} in one sweep;
@@ -12,18 +12,17 @@ it here:
 
 Their agreement wherever two of them are feasible is the backbone of the
 verification suite.  The q<->t and m<->n symmetries are conjectural, so the
-check functions report rather than assert.
+check functions return a `Check` rather than assert.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .bivar import BivarPoly, QtSeries
-from .config import guard_count
+from .config import Check, guard_count
 from .errors import NotInDomain
 from .polyomino import (
     ParaPolyomino,
@@ -71,26 +70,7 @@ def narayana_poly(m: int, n: int, max_objects: int | None = None) -> BivarPoly:
     return BivarPoly(acc)
 
 
-def bistatistic(poly: ParaPolyomino) -> tuple[int, int]:
-    return poly.area, poly.bounce_weight
-
-
-# -- symmetry reports ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    kind: str
-    m: int
-    n: int
-    holds: bool
-    first_offending_term: tuple[int, int] | None = None
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "m": self.m, "n": self.n, "holds": self.holds}
-        if self.first_offending_term is not None:
-            out["first_offending_term"] = list(self.first_offending_term)
-        return out
+# -- symmetry checks ------------------------------------------------------------
 
 
 def _first_difference(p: BivarPoly, q: BivarPoly) -> tuple[int, int] | None:
@@ -101,23 +81,23 @@ def _first_difference(p: BivarPoly, q: BivarPoly) -> tuple[int, int] | None:
     return None
 
 
-def check_qt_symmetry(
-    m: int, n: int, max_objects: int | None = None
-) -> SymmetryReport:
+def _symmetry_check(name: str, p: BivarPoly, q: BivarPoly) -> Check:
+    bad = _first_difference(p, q)
+    detail = "" if bad is None else f"first offending term {bad}"
+    return Check(name, bad is None, detail)
+
+
+def check_qt_symmetry(m: int, n: int, max_objects: int | None = None) -> Check:
     """Compare F_{m,n}(q,t) with F_{m,n}(t,q)."""
     p = narayana_poly(m, n, max_objects)
-    bad = _first_difference(p, p.swap_qt())
-    return SymmetryReport("qt", m, n, bad is None, bad)
+    return _symmetry_check(f"qt-symmetry {m},{n}", p, p.swap_qt())
 
 
-def check_mn_symmetry(
-    m: int, n: int, max_objects: int | None = None
-) -> SymmetryReport:
+def check_mn_symmetry(m: int, n: int, max_objects: int | None = None) -> Check:
     """Compare F_{m,n} with F_{n,m}, both by direct enumeration."""
     p = narayana_poly(m, n, max_objects)
     q = narayana_poly(n, m, max_objects)
-    bad = _first_difference(p, q)
-    return SymmetryReport("mn", m, n, bad is None, bad)
+    return _symmetry_check(f"mn-symmetry {m},{n}", p, q)
 
 
 # -- rational closed forms -----------------------------------------------------------

@@ -12,13 +12,14 @@ when this returns to the start with every vertex toppling once.  The
 stabilization is scheduled canonically as alternating parallel waves -- all
 unstable bottoms, then all unstable tops, and so on -- because the wave
 sizes of a recurrent state equal the bounce run lengths of its polyomino
-image.
+image.  `burn` performs this run once and returns both the verdict and the
+wave trace, so each predicate or map reads what it needs from one run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .config import guard_count
 from .errors import NotRecurrent
@@ -67,9 +68,7 @@ class BipartiteConfig:
         return self.heights[self.m - 1 :]
 
     def is_stable(self) -> bool:
-        return all(h < self.n for h in self.top) and all(
-            h < self.m for h in self.bottom
-        )
+        return max(self.top, default=0) < self.n and max(self.bottom) < self.m
 
     def is_increasing(self) -> bool:
         t, b = self.top, self.bottom
@@ -176,10 +175,22 @@ def stabilize(config: BipartiteConfig) -> tuple[BipartiteConfig, tuple[int, ...]
     return BipartiteConfig(m, n, h), tuple(counts)
 
 
-def _canonical_run(m: int, n: int, heights: Heights) -> tuple[Heights, list[Wave]]:
-    """Burning run on raw heights: +1 to every bottom vertex, then alternate
-    parallel bottom/top waves until stable."""
-    h = list(heights)
+class BurnResult(NamedTuple):
+    """Outcome of the burning run from a stable configuration."""
+
+    recurrent: bool
+    trace: TopplingTrace
+
+
+def burn(config: BipartiteConfig) -> BurnResult:
+    """Burning run: +1 to every bottom vertex (the sink topples once), then
+    alternate parallel bottom/top waves until stable.  The configuration is
+    recurrent exactly when the run returns to it with every vertex toppling
+    once."""
+    if not config.is_stable():
+        raise ValueError("canonical toppling requires a stable configuration")
+    m, n = config.m, config.n
+    h = list(config.heights)
     for j in range(m - 1, m + n - 1):
         h[j] += 1
     waves: list[Wave] = []
@@ -202,26 +213,29 @@ def _canonical_run(m: int, n: int, heights: Heights) -> tuple[Heights, list[Wave
             h[i] -= n
         for j in range(m - 1, m + n - 1):
             h[j] += gain
-    return tuple(h), waves
+    recurrent = (
+        tuple(h) == config.heights and sum(len(s) for _, s in waves) == m + n - 1
+    )
+    return BurnResult(recurrent, TopplingTrace(tuple(waves)))
 
 
 def canon_top(config: BipartiteConfig) -> TopplingTrace:
     """Wave trace of the burning run started from a stable configuration."""
-    if not config.is_stable():
-        raise ValueError("canonical toppling requires a stable configuration")
-    _, waves = _canonical_run(config.m, config.n, config.heights)
-    return TopplingTrace(tuple(waves))
+    return burn(config).trace
 
 
 def is_recurrent(config: BipartiteConfig) -> bool:
-    """Burning criterion: the run returns to the start, each vertex toppling once."""
-    if not config.is_stable():
-        return False
-    final, waves = _canonical_run(config.m, config.n, config.heights)
-    if final != config.heights:
-        return False
-    total = sum(len(s) for _, s in waves)
-    return total == config.m + config.n - 1
+    """Burning criterion; an unstable configuration is not recurrent."""
+    return config.is_stable() and burn(config).recurrent
+
+
+def _require_recurrent(config: BipartiteConfig) -> BurnResult:
+    """The burning run of a recurrent configuration; NotRecurrent otherwise."""
+    if config.is_stable():
+        burnt = burn(config)
+        if burnt.recurrent:
+            return burnt
+    raise NotRecurrent(f"{config!r} is not recurrent")
 
 
 def level(config: BipartiteConfig) -> int:
@@ -325,11 +339,9 @@ class DecoratedPolyomino:
 def decorate(config: BipartiteConfig) -> DecoratedPolyomino:
     """Map a recurrent configuration to its decorated polyomino: the cell
     image plus the top/bottom wave sets of the canonical toppling."""
-    if not is_recurrent(config):
-        raise NotRecurrent(f"{config!r} is not recurrent")
+    trace = _require_recurrent(config).trace
     poly = cell_image(config).as_para()
     assert poly is not None  # guaranteed for recurrent configurations
-    trace = canon_top(config)
     return DecoratedPolyomino(poly, trace.top_waves(), trace.bottom_waves())
 
 

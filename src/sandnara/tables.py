@@ -181,11 +181,3 @@ def matrix_poly(m: int, n: int) -> BivarPoly:
     """The tabulated F_{m,n} as a polynomial."""
     shift, rows = MATRIX_FORMS[(m, n)]
     return BivarPoly.from_matrix_json({"shift": [shift, shift], "matrix": rows})
-
-
-def matrix_forms() -> dict[tuple[int, int], BivarPoly]:
-    return {key: matrix_poly(*key) for key in MATRIX_FORMS}
-
-
-def rational_form(name: str) -> RationalForm:
-    return RATIONAL_FORMS[name]

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from sandnara.cli import main
 from sandnara.qt import narayana_poly
 
@@ -175,6 +177,22 @@ class TestMap:
         code, _, err = run(capsys, "map", "upsilon", "--input", "{not json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "to-polyomino", "--inverse"],
+            ["map", "to-matrix", "--inverse", "--input", "[1,2]"],
+            ["map", "to-polyomino", "--m", "3", "--n", "4"],
+            ["map", "to-dyck", "--heights", "1,0"],
+        ],
+        ids=["inverse-without-input", "input-not-object", "no-heights", "no-n"],
+    )
+    def test_malformed_map_input_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(err)
+
 
 class TestPoly:
     def test_matrix_format(self, capsys):
@@ -253,20 +271,14 @@ class TestVerify:
         )
         assert data["passed"] is True
 
-    def test_jobs_flag(self, capsys):
-        data = run_json(
-            capsys, "verify", "symmetry", "--max-sum", "6", "--jobs", "2"
-        )
-        assert data["passed"] is True
-
     def test_env_cap_exit_3(self, capsys, monkeypatch):
         monkeypatch.setenv("SANDPILE_MAX_OBJECTS", "2")
         code, _, err = run(capsys, "poly", "--m", "3", "--n", "3")
         assert code == 3
         assert "resource-limit" in err
 
-    def test_bad_jobs_exit_2(self, capsys):
-        code, _, err = run(
-            capsys, "verify", "counts", "--max", "4", "--jobs", "0"
-        )
+    def test_bad_env_cap_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("SANDPILE_MAX_OBJECTS", "abc")
+        code, _, err = run(capsys, "poly", "--m", "3", "--n", "3")
         assert code == 2
+        assert "SANDPILE_MAX_OBJECTS" in json.loads(err)["detail"]

@@ -1,8 +1,8 @@
-"""Run configuration and enumeration caps."""
+"""Enumeration caps and the check record."""
 
 import pytest
 
-from sandnara.config import DEFAULT_MAX_OBJECTS, RunConfig, guard_count, object_cap
+from sandnara.config import DEFAULT_MAX_OBJECTS, Check, guard_count, object_cap
 from sandnara.errors import ResourceLimit
 
 
@@ -24,25 +24,25 @@ class TestObjectCap:
         with pytest.raises(ResourceLimit):
             guard_count(11, 10, "x")
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-3"])
+    def test_bad_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("SANDPILE_MAX_OBJECTS", value)
+        with pytest.raises(ValueError, match="SANDPILE_MAX_OBJECTS"):
+            object_cap()
 
-class TestRunConfig:
-    def test_defaults(self):
-        cfg = RunConfig()
-        assert cfg.output_format == "json"
-        assert cfg.jobs == 1
 
-    def test_bad_format(self):
-        with pytest.raises(ValueError):
-            RunConfig(output_format="yaml")
+class TestCheck:
+    def test_minimal_json(self):
+        assert Check("c", True).to_json() == {"name": "c", "holds": True}
 
-    def test_bad_jobs(self):
-        with pytest.raises(ValueError):
-            RunConfig(jobs=0)
-
-    def test_cap_env(self, monkeypatch):
-        monkeypatch.setenv("SANDPILE_MAX_OBJECTS", "55")
-        assert RunConfig().cap == 55
-        assert RunConfig(max_objects=9).cap == 9
+    def test_full_json(self):
+        chk = Check("c", False, "why", conjecture=True)
+        assert chk.to_json() == {
+            "name": "c",
+            "holds": False,
+            "detail": "why",
+            "conjecture": True,
+        }
 
 
 def test_env_cap_reaches_enumerations(monkeypatch):

@@ -72,7 +72,8 @@ class TestSymmetryReports:
     def test_mn_holds_small(self):
         rep = check_mn_symmetry(3, 5)
         assert rep.holds
-        assert rep.first_offending_term is None
+        assert rep.name == "mn-symmetry 3,5"
+        assert rep.detail == ""
 
     def test_offending_term_reported(self):
         from sandnara.qt import _first_difference

@@ -5,7 +5,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sandnara import sandpile
+from sandnara.classes import is_minanz, is_top_heavy, matrix_of_config
 from sandnara.errors import NotRecurrent, ResourceLimit
 from sandnara.polyomino import HeightSeqs, cells_from_heights, para_from_paths
 from sandnara.sandpile import (
@@ -127,6 +131,75 @@ class TestRecurrence:
 
     def test_stable_count(self):
         assert sum(1 for _ in all_stable(3, 2)) == count_stable(3, 2) == 36
+
+
+@st.composite
+def stable_states(draw):
+    """A stable state on K_{m,n}, 2 <= m, n <= 12.  Half of the draws add it
+    to the maximal stable state and stabilize, which always lands in Rec."""
+    m, n = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    top = draw(st.lists(st.integers(0, n - 1), min_size=m - 1, max_size=m - 1))
+    bottom = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        top = [h + n - 1 for h in top]
+        bottom = [h + m - 1 for h in bottom]
+        return stabilize(BipartiteConfig(m, n, top + bottom))[0]
+    return BipartiteConfig(m, n, top + bottom)
+
+
+class TestBurningRoutes:
+    """The burning run against the cell-image route at random sizes."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(stable_states())
+    def test_burning_matches_cell_image(self, cfg):
+        poly = cell_image(cfg).as_para()
+        assert is_recurrent(cfg) == (poly is not None)
+        if poly is not None:
+            assert canon_top(cfg).sizes() == poly.bounce_seq()
+            dec = decorate(cfg)
+            assert decorate(undecorate(dec)) == dec
+
+
+class TestOneBurn:
+    """Each predicate and map reads one burning run."""
+
+    TOP_HEAVY = BipartiteConfig(8, 8, (4, 7, 7, 1, 4, 1, 7, 0, 2, 4, 7, 2, 4, 2, 4))
+
+    @pytest.fixture
+    def burns(self, monkeypatch):
+        calls = []
+        real = sandpile.burn
+
+        def counted(config):
+            calls.append(config)
+            return real(config)
+
+        monkeypatch.setattr(sandpile, "burn", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "fn",
+        [is_recurrent, canon_top, decorate, is_minanz, is_top_heavy, matrix_of_config],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_burns_once(self, burns, fn):
+        assert fn(self.TOP_HEAVY)
+        assert len(burns) == 1
+
+    def test_unstable(self, burns):
+        cfg = BipartiteConfig(8, 8, (9,) + self.TOP_HEAVY.heights[1:])
+        assert is_recurrent(cfg) is False
+        with pytest.raises(ValueError):
+            canon_top(cfg)
+
+    @pytest.mark.parametrize(
+        "fn", [is_minanz, decorate, matrix_of_config], ids=lambda fn: fn.__name__
+    )
+    def test_not_recurrent(self, burns, fn):
+        with pytest.raises(NotRecurrent):
+            fn(BipartiteConfig(8, 8, (0,) * 15))
+        assert len(burns) == 1
 
 
 class TestIncDecomp:
