@@ -24,6 +24,7 @@ from .errors import (
     NotMinanz,
     NotUpperTriangular,
     VertexNotToppled,
+    json_field,
 )
 from .polyomino import narayana_number
 from .sandpile import (
@@ -177,9 +178,10 @@ class BicompMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "BicompMatrix":
+        rows = json_field(data, "rows", int, depth=3)
         return cls(
-            data["k"],
-            tuple(tuple(frozenset(c) for c in r) for r in data["rows"]),
+            json_field(data, "k", int),
+            tuple(tuple(frozenset(c) for c in r) for r in rows),
         )
 
     @classmethod
@@ -301,9 +303,9 @@ class IntervalOrder:
     @classmethod
     def from_json(cls, data: dict) -> "IntervalOrder":
         return cls(
-            data["n"],
-            tuple(frozenset(d) for d in data["downsets"]),
-            tuple(frozenset(lv) for lv in data["levels"]),
+            json_field(data, "n", int),
+            tuple(frozenset(d) for d in json_field(data, "downsets", int, depth=2)),
+            tuple(frozenset(lv) for lv in json_field(data, "levels", int, depth=2)),
         )
 
     @classmethod

@@ -119,6 +119,16 @@ def _heights(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad height list {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # rejected below together with the values under 1
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _read_input(spec: str) -> dict:
     if spec == "-":
         data = json.loads(sys.stdin.read())
@@ -473,16 +483,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-objects", type=int, default=None, dest="max_objects")
 
     p = sub.add_parser("stabilize", help="topple to the stable state")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--heights", type=_heights, required=True)
     common(p)
     p.set_defaults(func=cmd_stabilize)
 
     p = sub.add_parser("check", help="recurrence and class predicates")
     p.add_argument("what", choices=["recurrent", "minanz", "top-heavy"])
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, default=None)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--heights", type=_heights, required=True)
     p.add_argument("--verbose", action="store_true")
     common(p)
@@ -493,16 +503,16 @@ def build_parser() -> argparse.ArgumentParser:
         "what", choices=["to-polyomino", "to-matrix", "to-poset", "upsilon", "to-dyck"]
     )
     p.add_argument("--inverse", action="store_true")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--m", type=_positive_int, default=None)
+    p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--heights", type=_heights, default=None)
     p.add_argument("--input", default=None, help="JSON object, @file, or - for stdin")
     common(p)
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("poly", help="q,t-Narayana polynomials and series")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--m", type=_positive_int, default=None)
+    p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--method", choices=["enum", "transfer"], default="enum")
     p.add_argument("--series", choices=sorted(RATIONAL_FORMS), default=None)
     p.add_argument("--order", type=int, default=8)
@@ -531,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--transfer-m", type=int, default=0, dest="transfer_m")
     p.add_argument("--transfer-n", type=int, default=12, dest="transfer_n")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--m", type=_positive_int, default=2)
+    p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
     common(p)

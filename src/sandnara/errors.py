@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field check that the
+JSON constructors apply to their input."""
 
 
 class SandnaraError(Exception):
@@ -47,3 +48,20 @@ class VertexNotToppled(SandnaraError):
 
 class ResourceLimit(SandnaraError):
     """Requested enumeration exceeds the configured object cap."""
+
+
+def json_field(data: dict, key: str, kind: type, depth: int = 0):
+    """data[key], required to be a `kind` (int or str) nested in `depth`
+    levels of lists; raises ValueError naming the field otherwise.  A JSON
+    boolean is not an integer here."""
+    value = data[key]
+
+    def fits(v, d: int) -> bool:
+        if d:
+            return isinstance(v, (list, tuple)) and all(fits(x, d - 1) for x in v)
+        return isinstance(v, kind) and not isinstance(v, bool)
+
+    if not fits(value, depth):
+        what = "list of " * depth + kind.__name__
+        raise ValueError(f"field {key!r} must be {what}, got {value!r:.60}")
+    return value

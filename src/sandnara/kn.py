@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 from .bivar import BivarPoly
 from .config import Check, guard_count
-from .errors import NotRecurrent, NotSorted
+from .errors import NotRecurrent, NotSorted, json_field
 from .polyomino import CellSet, ParaPolyomino
 
 
@@ -216,8 +216,8 @@ class DyckPath:
 
     @classmethod
     def from_json(cls, data: dict) -> "DyckPath":
-        path = cls(data["word"])
-        if path.n != data["n"]:
+        path = cls(json_field(data, "word", str))
+        if path.n != json_field(data, "n", int):
             raise ValueError("declared semi-length does not match the word")
         return path
 

@@ -32,8 +32,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .config import guard_count
-from .errors import NotMonotone, PathsCross
+from .errors import NotMonotone, PathsCross, json_field
 
 Runs = tuple[int, ...]
 
@@ -229,8 +231,9 @@ class ParaPolyomino:
 
     @classmethod
     def from_json(cls, data: dict) -> "ParaPolyomino":
-        poly = para_from_paths(data["upper"], data["lower"])
-        if poly.m != data["m"] or poly.n != data["n"]:
+        upper, lower = json_field(data, "upper", str), json_field(data, "lower", str)
+        poly = para_from_paths(upper, lower)
+        if poly.m != json_field(data, "m", int) or poly.n != json_field(data, "n", int):
             raise NotMonotone("declared box does not match the step words")
         return poly
 
@@ -433,35 +436,81 @@ def bounce_weight_of_runs(runs: Sequence[int]) -> int:
 
 def count_para(m: int, n: int) -> int:
     """|Para_{m,n}| = Narayana(m+n-1, m)."""
+    if m < 1 or n < 1:
+        raise ValueError(f"a box needs m >= 1 and n >= 1, got m={m}, n={n}")
     return narayana_number(m + n - 1, m)
 
 
+# Upper bound on the rows of one batch of `_profile_chunks`, and so on the
+# enumeration kernel's working memory; boxes wider than 8 columns get
+# proportionally fewer rows, so a batch never holds more than 16 times this
+# many profile entries.
+_CHUNK_ROWS = 1 << 12
+
+
+def _column_batches(
+    rows: np.ndarray, col: int, m: int, n: int
+) -> Iterator[tuple[np.ndarray, bool]]:
+    """Extend every row by each admissible value of column `col`, largest
+    first, in slices of at most the chunk bound; a row whose values do not
+    fit in one slice is split across slices.  Yields (slice, is_last).
+
+    Row layout is top[0..m-1] then bot[0..m-1].  Column top[i] ranges over
+    [top[i-1], n] (top[0] over [1, n]); column bot[i] over
+    [bot[i-1], top[i-1] - 1].  Neither range is ever empty.
+    """
+    if col == 0:
+        lo = np.ones(len(rows), dtype=np.int64)
+    else:
+        lo = rows[:, col - 1].astype(np.int64)
+    hi = n if col < m else rows[:, col - m - 1].astype(np.int64) - 1
+    ends = np.cumsum(hi - lo + 1)
+    lo += ends - 1  # now lo[r] - p is the value at flat position p of row r
+    total = int(ends[-1])
+    limit = max(1, min(_CHUNK_ROWS, _CHUNK_ROWS * 8 // m))
+    for s in range(0, total, limit):
+        e = min(s + limit, total)
+        r0 = int(np.searchsorted(ends, s, side="right"))
+        r1 = int(np.searchsorted(ends, e, side="left")) + 1
+        reps = np.diff(np.minimum(ends[r0:r1], e), prepend=s)
+        idx = np.repeat(np.arange(r0, r1), reps)
+        out = rows[idx]
+        out[:, col] = lo[idx] - np.arange(s, e)
+        yield out, e == total
+
+
+def _profile_chunks(m: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every profile pair of Para_{m,n} in canonical order, as (top, bot)
+    arrays of shape (k, m) with k at most the chunk bound.
+
+    Canonical order is ascending lexicographic on the upper word with N < E,
+    then on the lower word; on profiles this is descending lexicographic
+    order (an earlier N pushes the column height up).  The free columns are
+    filled in the order top[0..m-2], bot[1..m-1], each from its largest
+    value down, depth first, so the rows come out in that order.  A level
+    leaves the stack with its last slice, so a box whose expansions fit in
+    one slice holds a single batch at a time.
+    """
+    cols = [*range(m - 1), *range(m + 1, 2 * m)]
+    # every entry lies in 0..n: int16 holds it while n < 2**15
+    root = np.zeros((1, 2 * m), dtype=np.int16 if n < 2**15 else np.int64)
+    root[0, m - 1] = n
+    stack = [(0, iter(((root, True),)))]
+    while stack:
+        filled = stack[-1][0]
+        rows, last = next(stack[-1][1])
+        if last:
+            stack.pop()
+        if filled == len(cols):
+            yield rows[:, :m], rows[:, m:]
+        else:
+            stack.append((filled + 1, _column_batches(rows, cols[filled], m, n)))
+
+
 def _iter_profiles(m: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Profile pairs in canonical order: ascending lexicographic on the upper
-    word with N < E, then on the lower word.  On profiles this is descending
-    lexicographic order (an earlier N pushes the column height up)."""
-    if m == 1:
-        yield (n,), (0,)
-        return
-
-    def uppers(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == m - 1:
-            yield prefix + (n,)
-            return
-        lo = prefix[-1] if prefix else 1
-        for v in range(n, lo - 1, -1):
-            yield from uppers(prefix + (v,))
-
-    def lowers(top: tuple[int, ...], prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == m:
-            yield prefix
-            return
-        i = len(prefix)  # choosing bot[i], capped by top[i-1] - 1
-        for v in range(top[i - 1] - 1, prefix[-1] - 1, -1):
-            yield from lowers(top, prefix + (v,))
-
-    for top in uppers(()):
-        yield from ((top, bot) for bot in lowers(top, (0,)))
+    """Profile pairs in canonical order, one tuple pair at a time."""
+    for top, bot in _profile_chunks(m, n):
+        yield from zip(map(tuple, top.tolist()), map(tuple, bot.tolist()))
 
 
 def enumerate_para(

@@ -4,15 +4,18 @@ F_{m,n}(q, t) is the generating polynomial of (area, bounce weight) over all
 parallelogram polyominoes in an m x n box.  Three independent routes compute
 it here:
 
-* `narayana_poly` sums q^area t^bounce_weight over the full enumeration;
+* `narayana_poly` visits every polyomino: it takes the profile pairs in
+  batches from the canonical enumeration, computes area and bounce weight
+  for a whole batch with numpy, and histograms packed (area, weight) keys;
 * `transfer_matrix_F` runs a row-by-row dynamic program whose state carries
   the current row interval together with the bounce path position and its
   running weight, giving all of F_{m,1..n_max} in one sweep;
 * `rational_qt_series` expands the tabulated rational closed forms.
 
 Their agreement wherever two of them are feasible is the backbone of the
-verification suite.  The q<->t and m<->n symmetries are conjectural, so the
-check functions return a `Check` rather than assert.
+verification suite.  The batch bounce weight is tested against the
+per-object `ParaPolyomino.bounce_seq`.  The q<->t and m<->n symmetries are
+conjectural, so the check functions return a `Check` rather than assert.
 """
 
 from __future__ import annotations
@@ -24,49 +27,54 @@ import numpy as np
 from .bivar import BivarPoly, QtSeries
 from .config import Check, guard_count
 from .errors import NotInDomain
-from .polyomino import (
-    ParaPolyomino,
-    bounce_weight_of_runs,
-    count_para,
-    narayana_number,
-    _iter_profiles,
-)
+from .polyomino import ParaPolyomino, count_para, narayana_number, _profile_chunks
 from .tables import RationalForm
 
 # -- direct enumeration --------------------------------------------------------
 
 
-def _bounce_runs_profiles(
-    m: int, n: int, top: tuple[int, ...], bot: tuple[int, ...]
-) -> list[int]:
-    # duplicated from ParaPolyomino.bounce_seq to keep the hot path object-free
-    runs = []
-    x, y = m - 1, n
-    while (x, y) != (0, 0):
-        ystop = bot[x]
-        runs.append(y - ystop)
-        y = ystop
-        if x == 0 and y == 0:
-            break
-        xstop = 0
-        for xp in range(x - 1, 0, -1):
-            if top[xp - 1] <= y:
-                xstop = xp
-                break
-        runs.append(x - xstop)
-        x = xstop
-    return runs
+def _bounce_weights(top: np.ndarray, bot: np.ndarray) -> np.ndarray:
+    """Bounce weight of every row of a batch of profile pairs.
+
+    With the bounce path's turning points (x_0, y_0) = (m-1, n),
+    y_{r+1} = bot[x_r] and x_{r+1} = #{i : top[i] <= y_{r+1}}, the weight
+    sum ceil(i/2) c_i telescopes to sum_r (x_r + y_r).  The count is the
+    west-run stop of `ParaPolyomino.bounce_seq` because top is weakly
+    increasing and bot[x] < top[x-1]; x strictly decreases until it is 0,
+    after which every term is 0, so the loop runs at most m - 1 rounds.
+    """
+    k, m = top.shape
+    rows = np.arange(k)
+    x = np.full(k, m - 1, dtype=np.int64)
+    w = x + top[:, -1]
+    while x.any():
+        y = bot[rows, x]
+        x = np.count_nonzero(top <= y[:, None], axis=1)
+        w += x
+        w += y
+    return w
 
 
 def narayana_poly(m: int, n: int, max_objects: int | None = None) -> BivarPoly:
-    """Sum of q^area t^bounce_weight over every polyomino in the m x n box."""
+    """Sum of q^area t^bounce_weight over every polyomino in the m x n box.
+
+    Every polyomino is visited: the profile pairs come in batches from the
+    canonical enumeration, and each batch is reduced to a histogram of the
+    packed key area * W + weight, where W = (m+1)(m+n) exceeds every bounce
+    weight (at most m terms x_r + y_r < m+n) and area <= mn.  The key is
+    exact in int64 for every box the bound check below admits.
+    """
     guard_count(count_para(m, n), max_objects, f"Para_{{{m},{n}}}")
+    W = (m + 1) * (m + n)
+    if (m * n + 1) * W > np.iinfo(np.int64).max:
+        raise ValueError(f"box m={m}, n={n} is too large for int64 histogram keys")
     acc: dict[tuple[int, int], int] = {}
-    for top, bot in _iter_profiles(m, n):
-        a = sum(top) - sum(bot)
-        w = bounce_weight_of_runs(_bounce_runs_profiles(m, n, top, bot))
-        key = (a, w)
-        acc[key] = acc.get(key, 0) + 1
+    for top, bot in _profile_chunks(m, n):
+        area = top.sum(axis=1, dtype=np.int64) - bot.sum(axis=1, dtype=np.int64)
+        keys, counts = np.unique(area * W + _bounce_weights(top, bot), return_counts=True)
+        for key, cnt in zip(keys.tolist(), counts.tolist()):
+            a_w = divmod(key, W)
+            acc[a_w] = acc.get(a_w, 0) + cnt
     return BivarPoly(acc)
 
 

@@ -184,8 +184,23 @@ class TestMap:
             ["map", "to-matrix", "--inverse", "--input", "[1,2]"],
             ["map", "to-polyomino", "--m", "3", "--n", "4"],
             ["map", "to-dyck", "--heights", "1,0"],
+            ["map", "to-matrix", "--inverse", "--input", '{"k": 1, "rows": 5}'],
+            ["map", "to-poset", "--inverse",
+             "--input", '{"n": 1, "downsets": [1], "levels": [[1]]}'],
+            ["map", "to-polyomino", "--inverse",
+             "--input", '{"m": "1", "n": 1, "upper": "NE", "lower": "EN"}'],
+            ["map", "to-dyck", "--inverse", "--input", '{"n": 1, "word": ["S", "W"]}'],
         ],
-        ids=["inverse-without-input", "input-not-object", "no-heights", "no-n"],
+        ids=[
+            "inverse-without-input",
+            "input-not-object",
+            "no-heights",
+            "no-n",
+            "matrix-rows-not-lists",
+            "poset-downset-not-list",
+            "polyomino-m-not-int",
+            "dyck-word-not-str",
+        ],
     )
     def test_malformed_map_input_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -226,6 +241,14 @@ class TestPoly:
         lines = out.strip().splitlines()
         assert lines[0] == "q,t,c"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("size", ["0", "-2", "x"])
+    @pytest.mark.parametrize("method", ["enum", "transfer"])
+    def test_box_size_exit_2(self, capsys, method, size):
+        with pytest.raises(SystemExit) as exc:
+            main(["poly", "--m", "3", "--n", size, "--method", method])
+        assert exc.value.code == 2
+        assert "argument --n: must be an integer >= 1" in capsys.readouterr().err
 
     def test_resource_limit_exit_3(self, capsys):
         code, _, err = run(

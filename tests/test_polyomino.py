@@ -301,6 +301,13 @@ class TestEnumeration:
         with pytest.raises(ResourceLimit):
             list(enumerate_para(10, 10, max_objects=100))
 
+    @pytest.mark.parametrize("m,n", [(3, 0), (0, 3), (-1, 2)])
+    def test_box_sizes_checked(self, m, n):
+        with pytest.raises(ValueError, match=f"m={m}, n={n}"):
+            count_para(m, n)
+        with pytest.raises(ValueError, match=f"m={m}, n={n}"):
+            list(enumerate_para(m, n))
+
 
 class TestTranspose:
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 2)])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sandnara import polyomino
 from sandnara.bivar import BivarPoly
 from sandnara.errors import NotInDomain
 from sandnara.polyomino import enumerate_para, narayana_number, para_from_paths
@@ -39,7 +40,9 @@ class TestNarayanaPoly:
         assert narayana_poly(3, 3) == matrix_poly(3, 3)
 
     def test_matches_object_enumeration(self):
-        for (m, n) in [(2, 3), (3, 4), (4, 2), (1, 5)]:
+        # every box with m + n <= 10; the object route is the per-object
+        # bounce_seq, independent of the batch kernel
+        for (m, n) in [(m, s - m) for s in range(2, 11) for m in range(1, s)]:
             acc = {}
             for p in enumerate_para(m, n):
                 key = (p.area, p.bounce_weight)
@@ -49,6 +52,32 @@ class TestNarayanaPoly:
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 4), (4, 4), (5, 2)])
     def test_specializes_to_narayana_numbers(self, m, n):
         assert narayana_poly(m, n).eval_at(1, 1) == narayana_number(m + n - 1, m)
+
+    @pytest.mark.parametrize("m,n", [(1, 9), (2, 9), (3, 6), (4, 5), (5, 4), (6, 4)])
+    def test_split_batches(self, monkeypatch, m, n):
+        # With 7 rows per batch the lower profiles of one upper profile span
+        # several batches; the result and the order must not change.
+        want = narayana_poly(m, n)
+        pairs = list(polyomino._iter_profiles(m, n))
+        monkeypatch.setattr(polyomino, "_CHUNK_ROWS", 7)
+        chunks = list(polyomino._profile_chunks(m, n))
+        assert all(len(top) <= 7 for top, _ in chunks)
+        tops = [(top[0].tolist(), top[-1].tolist()) for top, _ in chunks]
+        split = [a[1] == b[0] for a, b in zip(tops, tops[1:])]
+        assert any(split) or m == 1
+        assert list(polyomino._iter_profiles(m, n)) == pairs
+        assert narayana_poly(m, n) == want
+
+    @pytest.mark.parametrize("m,n", [(3, 0), (0, 3), (-1, 2)])
+    def test_box_sizes_checked(self, m, n):
+        with pytest.raises(ValueError, match=f"m={m}, n={n}"):
+            narayana_poly(m, n)
+
+    def test_int64_bounds(self):
+        # heights past int16 are held exactly; a key past int64 raises
+        assert narayana_poly(1, 2**30) == BivarPoly.monomial(2**30, 2**30)
+        with pytest.raises(ValueError, match="int64"):
+            narayana_poly(1, 2**31)
 
 
 class TestTables:
