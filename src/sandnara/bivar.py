@@ -49,6 +49,14 @@ class BivarPoly:
     def monomial(cls, dq: int, dt: int, coeff: int = 1) -> "BivarPoly":
         return cls({(dq, dt): coeff})
 
+    @classmethod
+    def _trusted(cls, terms: dict[Term, int]) -> "BivarPoly":
+        """Take ownership of a dict that already holds only non-zero Python
+        int coefficients at non-negative exponents, without cleaning it again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_terms", terms)
+        return self
+
     # -- views ------------------------------------------------------------
 
     @property

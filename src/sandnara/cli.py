@@ -119,14 +119,23 @@ def _heights(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad height list {text!r}") from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0  # rejected below together with the values under 1
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, else argparse's exit 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1  # rejected below together with the values under low
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _read_input(spec: str) -> dict:
@@ -515,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--method", choices=["enum", "transfer"], default="enum")
     p.add_argument("--series", choices=sorted(RATIONAL_FORMS), default=None)
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_nonnegative_int, default=8)
     common(p)
     p.set_defaults(func=cmd_poly)
 
@@ -532,18 +541,20 @@ def build_parser() -> argparse.ArgumentParser:
             "all",
         ],
     )
-    p.add_argument("--max", type=int, default=6, help="size bound for counts/olson/kn checks")
-    p.add_argument("--max-sum", type=int, default=8, dest="max_sum")
+    p.add_argument(
+        "--max", type=_nonnegative_int, default=6, help="size bound for counts/olson/kn checks"
+    )
+    p.add_argument("--max-sum", type=_nonnegative_int, default=8, dest="max_sum")
     p.add_argument(
         "--brute",
         action="store_true",
         help="also count recurrent states by filtering every stable state",
     )
-    p.add_argument("--transfer-m", type=int, default=0, dest="transfer_m")
-    p.add_argument("--transfer-n", type=int, default=12, dest="transfer_n")
+    p.add_argument("--transfer-m", type=_nonnegative_int, default=0, dest="transfer_m")
+    p.add_argument("--transfer-n", type=_positive_int, default=12, dest="transfer_n")
     p.add_argument("--m", type=_positive_int, default=2)
     p.add_argument("--n", type=_positive_int, default=2)
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--samples", type=_positive_int, default=25)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_verify)

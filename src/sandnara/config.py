@@ -40,11 +40,12 @@ def object_cap(override: int | None = None) -> int:
     return cap
 
 
-def guard_count(count: int, max_objects: int | None, what: str) -> int:
-    """Raise ResourceLimit when an enumeration of `count` objects exceeds the cap."""
+def guard_count(count: int, max_objects: int | None, what: str, unit: str = "objects") -> int:
+    """Raise ResourceLimit when a computation of `count` units (objects
+    enumerated, or cells held) exceeds the cap."""
     cap = object_cap(max_objects)
     if count > cap:
-        raise ResourceLimit(f"{what}: {count} objects exceeds cap {cap}")
+        raise ResourceLimit(f"{what}: {count} {unit} exceeds cap {cap}")
     return count
 
 

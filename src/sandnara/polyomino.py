@@ -103,6 +103,19 @@ class ParaPolyomino:
         object.__setattr__(self, "top", tuple(top))
         object.__setattr__(self, "bot", tuple(bot))
 
+    @classmethod
+    def _trusted(
+        cls, m: int, n: int, top: tuple[int, ...], bot: tuple[int, ...]
+    ) -> "ParaPolyomino":
+        """Construct from profile tuples the enumerator produced, which are
+        valid by construction, without checking them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bot", bot)
+        return self
+
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ParaPolyomino is immutable")
 
@@ -519,4 +532,4 @@ def enumerate_para(
     """Every element of Para_{m,n} exactly once, in canonical order."""
     guard_count(count_para(m, n), max_objects, f"Para_{{{m},{n}}}")
     for top, bot in _iter_profiles(m, n):
-        yield ParaPolyomino(m, n, top, bot)
+        yield ParaPolyomino._trusted(m, n, top, bot)

@@ -12,6 +12,13 @@ it here:
   running weight, giving all of F_{m,1..n_max} in one sweep;
 * `rational_qt_series` expands the tabulated rational closed forms.
 
+The two routes that do not enumerate hold their coefficients as dense 2-D
+blocks with a degree offset and convert to `BivarPoly` only on output.  Each
+uses int64 only under a proven coefficient bound, stated in its docstring,
+and object dtype (Python ints) otherwise.  The transfer sweep is guarded by
+an up-front estimate of the memory it and its output hold, in 8-byte cells,
+checked against the object cap.
+
 Their agreement wherever two of them are feasible is the backbone of the
 verification suite.  The batch bounce weight is tested against the
 per-object `ParaPolyomino.bounce_seq`.  The q<->t and m<->n symmetries are
@@ -20,6 +27,7 @@ conjectural, so the check functions return a `Check` rather than assert.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -108,7 +116,87 @@ def check_mn_symmetry(m: int, n: int, max_objects: int | None = None) -> Check:
     return _symmetry_check(f"mn-symmetry {m},{n}", p, q)
 
 
+# -- dense coefficient blocks ------------------------------------------------------
+#
+# The two routes that do not enumerate hold every polynomial as a block
+# (a0, w0, arr): arr[i, j] is the coefficient of q^(a0+i) t^(w0+j).  Blocks
+# are combined by slice-adds over their bounding box and become `BivarPoly`
+# values only on output.  A route picks int64 only when a proven bound on
+# every coefficient and every partial sum fits it, and object dtype (Python
+# ints) otherwise, so nothing wraps.
+
+Block = tuple[int, int, np.ndarray]
+
+_INT64_LIMIT = int(np.iinfo(np.int64).max)
+
+
+def _coeff_dtype(bound: int) -> type:
+    """int64 when every value is at most `bound` in absolute value, else object."""
+    return np.int64 if bound <= _INT64_LIMIT else object
+
+
+def _sum_blocks(parts: Sequence[Block], dtype: type) -> Block:
+    """Sum of shifted blocks: one pass for the bounding box, then one
+    slice-add per part."""
+    a0 = min(a for a, _, _ in parts)
+    w0 = min(w for _, w, _ in parts)
+    a1 = max(a + arr.shape[0] for a, _, arr in parts)
+    w1 = max(w + arr.shape[1] for _, w, arr in parts)
+    out = np.zeros((a1 - a0, w1 - w0), dtype=dtype)
+    for a, w, arr in parts:
+        out[a - a0 : a - a0 + arr.shape[0], w - w0 : w - w0 + arr.shape[1]] += arr
+    return a0, w0, out
+
+
+def _block_poly(block: Block | None) -> BivarPoly:
+    if block is None:
+        return BivarPoly.zero()
+    a0, w0, arr = block
+    i, j = np.nonzero(arr)
+    qe, te = i + a0, j + w0
+    if i.size and min(qe.min(), te.min()) < 0:
+        raise ValueError("exponents must be non-negative")
+    return BivarPoly._trusted(dict(zip(zip(qe.tolist(), te.tolist()), arr[i, j].tolist())))
+
+
 # -- rational closed forms -----------------------------------------------------------
+
+
+def _series_blocks(
+    numerator: Sequence[tuple[int, int, int, int]],
+    denominator_factors: Sequence[tuple[int, int]],
+    order: int,
+) -> Iterator[tuple[int, Block | None]]:
+    """Stream the z-coefficients 0..order of numerator / prod (1 - q^a t^b z)
+    as blocks (None for a zero coefficient).
+
+    Factor i is divided out with the prefix recurrence
+    s_i[k] = s_{i-1}[k] + q^a t^b s_i[k-1], s_0[k] = numerator z^k part, so
+    only the previous coefficient of each factor is held and each
+    coefficient is final as soon as the last factor has been applied.
+
+    Bound: every coefficient and partial sum is at most
+    sum |numerator coefficients| * C(order + f, f) in absolute value, f the
+    number of factors, since z^k of 1 / prod (1 - w_i z) is a sum of
+    C(k + f - 1, f - 1) monomials.
+    """
+    f = len(denominator_factors)
+    bound = sum(abs(c) for c, _, _, _ in numerator) * math.comb(order + f, f)
+    dtype = _coeff_dtype(bound)
+    by_z: dict[int, list[Block]] = {}
+    for (c, qe, te, ze) in numerator:
+        if ze <= order:
+            by_z.setdefault(ze, []).append((qe, te, np.full((1, 1), c, dtype=dtype)))
+    prev: list[Block | None] = [None] * f
+    for k in range(order + 1):
+        cur = _sum_blocks(by_z[k], dtype) if k in by_z else None
+        for idx, (a, b) in enumerate(denominator_factors):
+            p = prev[idx]
+            if p is not None:
+                shifted = (p[0] + a, p[1] + b, p[2])
+                cur = shifted if cur is None else _sum_blocks((cur, shifted), dtype)
+            prev[idx] = cur
+        yield k, cur
 
 
 def rational_qt_series(
@@ -118,18 +206,15 @@ def rational_qt_series(
 ) -> QtSeries:
     """Expand numerator / prod (1 - q^a t^b z) as a series in z.
 
-    The numerator is a list of (coeff, q_exp, t_exp, z_exp) terms.  Each
-    factor is divided out with the prefix recurrence s_k = c_k + w * s_{k-1},
-    which is exact term-by-term.
+    The numerator is a list of (coeff, q_exp, t_exp, z_exp) terms.  The
+    expansion streams dense blocks (see `_series_blocks`, which also states
+    the bound behind the int64 fast path) and converts each z-coefficient
+    as soon as it is final.
     """
-    coeffs: list[BivarPoly] = [BivarPoly.zero() for _ in range(order + 1)]
-    for (c, qe, te, ze) in numerator:
-        if ze <= order:
-            coeffs[ze] = coeffs[ze] + BivarPoly.monomial(qe, te, c)
-    for (a, b) in denominator_factors:
-        for k in range(1, order + 1):
-            coeffs[k] = coeffs[k] + coeffs[k - 1].shift(a, b)
-    return QtSeries(order, tuple(coeffs))
+    return QtSeries(
+        order,
+        tuple(_block_poly(b) for _, b in _series_blocks(numerator, denominator_factors, order)),
+    )
 
 
 def series_of_form(form: RationalForm, order: int) -> QtSeries:
@@ -164,67 +249,136 @@ def fit_numerator(
 
 # -- transfer matrix ---------------------------------------------------------------
 
+State = tuple[int, int, int, int]  # (c, r, beta, p)
+Move = tuple[State, int, int]  # (target, q shift, t shift)
+
+
+def _transfer_moves(state: State) -> list[Move]:
+    """Every row that can follow `state` one row further down.
+
+    The next row [cp, rp] starts weakly left of c and ends between c and r.
+    The bounce path turns west at the boundary exactly when beta >= rp; the
+    west run stops at x = c - 1, the left edge of the row above, and the step
+    weight p grows by one.  The new row adds its length to the area and the
+    (possibly increased) step weight, plus the west run's weight, to t.
+    """
+    c, r, beta, p = state
+    out = []
+    for cp in range(1, c + 1):
+        for rp in range(c, r + 1):
+            if beta >= rp:
+                add_t, p2, b2 = (beta - (c - 1)) * p, p + 1, c - 1
+            else:
+                add_t, p2, b2 = 0, p, beta
+            out.append(((cp, rp, b2, p2), rp - cp + 1, add_t + p2))
+    return out
+
+
+# Cost weights of the transfer sweep, in 8-byte cells: a block cell of each
+# dtype (an object cell is a pointer plus, when nonzero, a Python int), and
+# one term of an output `BivarPoly` (a dict slot, its (area, weight) key tuple
+# and the coefficient; about 120 bytes measured).
+_CELL_WEIGHT = {np.int64: 1, object: 5}
+_TERM_WEIGHT = 16
+
+
+def _transfer_box(m: int, n: int) -> int:
+    """Cells of a box that holds the coefficients of any state after n rows.
+
+    The area of n rows lies in [n, m n], and the t-degree lies in
+    [n, m (m + n)], since each row adds a step weight >= 1 and every partial
+    state extends to a polyomino of Para_{m,n+1}, whose bounce weight is at
+    most m (m + n).
+    """
+    return ((m - 1) * n + 1) * (m * m + (m - 1) * n + 1)
+
+
+def _transfer_plan(
+    m: int, n_max: int, max_objects: int | None
+) -> tuple[dict[State, list[Move]], type, int]:
+    """The moves of every state live in rows 1..n_max - 1, the coefficient
+    dtype, and the estimated cost, checked against the object cap.
+
+    The estimate, in 8-byte cells, is the output (`_TERM_WEIGHT` per cell of
+    the boxes of F_{m,1..n_max}) plus the blocks of the two rows that exist
+    during a row step (their states times the n_max box, weighted by dtype).
+    It is checked before the coefficient bound is computed and again before
+    the moves of each new row are built, so an oversized box is refused
+    before any large allocation.  The live set of a row depends only on the
+    live set of the row above, so the scan stops at the first row that
+    repeats its predecessor.
+    """
+    if m < 1 or n_max < 1:
+        raise ValueError("need m, n >= 1")
+    # the sum of _transfer_box(m, n) = (a n + 1)(a n + b) over n = 1..n_max
+    a, b, N = m - 1, m * m + 1, n_max
+    column_cells = a * a * N * (N + 1) * (2 * N + 1) // 6 + a * (b + 1) * N * (N + 1) // 2 + b * N
+    box = _transfer_box(m, n_max)
+    what = f"transfer matrix F_{{{m},{n_max}}}"
+
+    def guard(states: int, weight: int) -> int:
+        cells = _TERM_WEIGHT * column_cells + weight * states * box
+        return guard_count(cells, max_objects, what, "cells")
+
+    guard(m, 1)  # a lower bound, cheap before the coefficient bound
+    dtype = _coeff_dtype(narayana_number(m + n_max, m))
+    weight = _CELL_WEIGHT[dtype]
+    cells = guard(m, weight)
+    live = {(c, m, m - 1, 1) for c in range(1, m + 1)}
+    moves: dict[State, list[Move]] = {}
+    for _ in range(n_max - 1):
+        for st in live - moves.keys():
+            moves[st] = _transfer_moves(st)
+        nxt = {tgt for st in live for tgt, _, _ in moves[st]}
+        cells = max(cells, guard(len(live) + len(nxt), weight))
+        if nxt == live:
+            break
+        live = nxt
+    return moves, dtype, cells
+
 
 def transfer_matrix_F(m_fixed: int, n_max: int, max_objects: int | None = None) -> list[BivarPoly]:
     """F_{m,1..n_max} by a row dynamic program, without enumerating polyominoes.
 
-    Rows are scanned from the top of the box downward.  A state holds the
-    current row interval [c, r], the column line beta along which the bounce
-    path descends, and the running step weight p.  The bounce path turns west
-    at the boundary between two rows exactly when beta >= (right end of the
-    lower row); the west run then stops at x = c - 1, the left edge of the
-    row above, and the weight increases by one.  Since each west run moves at
-    least one column, p <= m + 1 and the state space is finite for fixed m.
+    Rows are scanned from the top of the box downward.  A state (c, r, beta, p)
+    holds the current row interval [c, r], the column line beta along which
+    the bounce path descends, and the running step weight p (see
+    `_transfer_moves`).  Since each west run moves at least one column,
+    p <= m + 1 and the state space is finite for fixed m.
 
-    The largest coefficient is bounded by Narayana(m+n_max-1, m_fixed), so
-    the usual enumeration cap applies even though nothing is enumerated.
+    Every state holds its coefficients as a dense block.  One row step first
+    collects, per target state, the shifted blocks of its sources and their
+    bounding box, then does one slice-add per (source, cp, rp) transition.
+
+    Bound: each partial state extends injectively into Para_{m,n+1} (append
+    the row [1, c]), so every coefficient and partial sum is at most
+    Narayana(m + n_max, m); int64 is used when that fits, object dtype
+    otherwise.  Cost: an estimate of the memory the sweep and its output
+    hold is checked against the object cap before any block is allocated
+    (see `_transfer_plan`).
     """
-    if m_fixed < 1 or n_max < 1:
-        raise ValueError("need m, n >= 1")
-    guard_count(
-        narayana_number(m_fixed + n_max - 1, m_fixed),
-        max_objects,
-        f"transfer matrix F_{{{m_fixed},{n_max}}}",
-    )
     m = m_fixed
-    State = tuple[int, int, int, int]  # (c, r, beta, p)
-    states: dict[State, dict[tuple[int, int], int]] = {}
-    for c in range(1, m + 1):
-        key = (c, m, m - 1, 1)
-        states.setdefault(key, {})[(m - c + 1, 1)] = 1
-
+    moves, dtype, _ = _transfer_plan(m, n_max, max_objects)
+    states: dict[State, Block] = {
+        (c, m, m - 1, 1): (m - c + 1, 1, np.ones((1, 1), dtype=dtype)) for c in range(1, m + 1)
+    }
     out: list[BivarPoly] = []
-
-    def close(st: dict[State, dict[tuple[int, int], int]]) -> BivarPoly:
-        acc: dict[tuple[int, int], int] = {}
-        for (c, r, beta, p), val in st.items():
-            if c != 1:
-                continue
-            add_t = beta * p  # final west run to the origin
-            for (a, w), cnt in val.items():
-                key = (a, w + add_t)
-                acc[key] = acc.get(key, 0) + cnt
-        return BivarPoly(acc)
-
     for n in range(1, n_max + 1):
-        out.append(close(states))
+        # the last row starts at column 1 (every row has such a state, since
+        # cp = 1 is always a move); the final west run goes to the origin
+        closing = [
+            (a0, w0 + beta * p, arr)
+            for (c, _, beta, p), (a0, w0, arr) in states.items()
+            if c == 1
+        ]
+        out.append(_block_poly(_sum_blocks(closing, dtype)))
         if n == n_max:
             break
-        new: dict[State, dict[tuple[int, int], int]] = {}
-        for (c, r, beta, p), val in states.items():
-            for cp in range(1, c + 1):
-                for rp in range(max(cp, c), r + 1):
-                    if beta >= rp:  # bounce hits the lower path between the rows
-                        add_t = (beta - (c - 1)) * p
-                        p2, b2 = p + 1, c - 1
-                    else:
-                        add_t, p2, b2 = 0, p, beta
-                    add_q = rp - cp + 1
-                    tgt = new.setdefault((cp, rp, b2, p2), {})
-                    for (a, w), cnt in val.items():
-                        key = (a + add_q, w + add_t + p2)
-                        tgt[key] = tgt.get(key, 0) + cnt
-        states = new
+        incoming: dict[State, list[Block]] = {}
+        for st, (a0, w0, arr) in states.items():
+            for tgt, dq, dt in moves[st]:
+                incoming.setdefault(tgt, []).append((a0 + dq, w0 + dt, arr))
+        states = {tgt: _sum_blocks(parts, dtype) for tgt, parts in incoming.items()}
     return out
 
 
@@ -311,26 +465,27 @@ def ribbon_swap_inv(poly: ParaPolyomino) -> ParaPolyomino:
     return out
 
 
-# -- vectorized fast paths (m = 2) -----------------------------------------------------
+# -- two-column closed form and absolute-exponent arrays ---------------------------
 #
 # For the two-column box the polyomino is determined by the top of column 1
 # (u in 1..n) and the bottom of column 2 (l in 0..u-1); the bounce path gives
-# area = u + n - l and bounce weight = n + 1 + l.  These closed forms are
-# asserted against the generic route for every n <= 60 by the test suite, so
-# the array path below is an accelerated twin, not an independent formula.
+# area = u + n - l and bounce weight = n + 1 + l.  The map (u, l) -> (area,
+# weight) is injective, so F_{2,n} is the indicator of its image, built with
+# one index assignment.  It is an independent closed form: the test suite
+# asserts it against enumeration, and it is the reference for the streamed
+# F2 series arrays.
 
 
 def narayana_m2_array(n: int, size: int | None = None) -> np.ndarray:
-    """Dense int64 coefficient array A[a, w] for F_{2,n}; exact because every
-    coefficient is a polyomino count bounded well below 2**63."""
+    """Dense int64 coefficient array A[a, w] for F_{2,n}; every coefficient
+    is 0 or 1."""
     if size is None:
         size = 2 * n + 3
     if size < 2 * n + 3:
         raise ValueError("array too small for the exponent range")
     hist = np.zeros((size, size), dtype=np.int64)
-    for u in range(1, n + 1):
-        l = np.arange(u, dtype=np.int64)
-        np.add.at(hist, (u + n - l, n + 1 + l), 1)
+    l, u = np.triu_indices(n + 1, 1)  # every pair 0 <= l < u <= n
+    hist[u + n - l, n + 1 + l] = 1
     return hist
 
 
@@ -344,26 +499,29 @@ def poly_to_array(poly: BivarPoly, size: int) -> np.ndarray:
 def rational_series_arrays(
     form: RationalForm, n_max: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Stream the z-coefficients of a rational form as dense int64 arrays.
+    """Stream the z-coefficients 1..n_max of a rational form as square
+    arrays A[a, w] indexed by absolute exponent.
 
-    Works factor by factor with the same prefix recurrence as
-    rational_qt_series, holding one previous array per factor, so memory
-    stays quadratic in the exponent range of a single coefficient rather
-    than in the whole series.
+    The expansion is `_series_blocks`, the kernel of `rational_qt_series`,
+    so it holds one block per factor and memory stays quadratic in the
+    exponent range of a single coefficient.  Each block is copied into a
+    square array of side num_deg + fac_deg * k + 2, which holds every
+    exponent of z^k.  The dtype is int64 when the kernel's bound proves it
+    exact and object otherwise.  A negative exponent raises ValueError, as
+    in `rational_qt_series`.
     """
     num_deg = max(max(qe, te) for (_, qe, te, _) in form.numerator)
     fac_deg = max(max(a, b) for (a, b) in form.factors)
-    last = len(form.factors) - 1
-    prev: list[np.ndarray | None] = [None] * len(form.factors)
-    for k in range(1, n_max + 1):
+    for k, block in _series_blocks(form.numerator, form.factors, n_max):
+        if k == 0:
+            continue
         size = num_deg + fac_deg * k + 2
-        cur = np.zeros((size, size), dtype=np.int64)
-        for (c, qe, te, ze) in form.numerator:
-            if ze == k:
-                cur[qe, te] += c
-        for idx, (a, b) in enumerate(form.factors):
-            p = prev[idx]
-            if p is not None:
-                cur[a : a + p.shape[0], b : b + p.shape[1]] += p
-            prev[idx] = cur if idx == last else cur.copy()
-        yield k, cur
+        if block is None:
+            yield k, np.zeros((size, size), dtype=np.int64)
+            continue
+        a0, w0, arr = block
+        if a0 < 0 or w0 < 0:
+            raise ValueError("exponents must be non-negative")
+        out = np.zeros((size, size), dtype=arr.dtype)
+        out[a0 : a0 + arr.shape[0], w0 : w0 + arr.shape[1]] = arr
+        yield k, out

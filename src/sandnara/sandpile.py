@@ -419,7 +419,7 @@ def enumerate_rec_star(
     canonical polyomino order."""
     guard_count(count_para(m, n), max_objects, f"Rec*(D_{{{m},{n}}})")
     for top, bot in _iter_profiles(m, n):
-        yield config_of_para(ParaPolyomino(m, n, top, bot))
+        yield config_of_para(ParaPolyomino._trusted(m, n, top, bot))
 
 
 def enumerate_rec(

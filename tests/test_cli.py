@@ -250,6 +250,27 @@ class TestPoly:
         assert exc.value.code == 2
         assert "argument --n: must be an integer >= 1" in capsys.readouterr().err
 
+    def test_negative_order_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["poly", "--series", "F3", "--order", "-1"])
+        assert exc.value.code == 2
+        assert "argument --order: must be an integer >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m,n", [("6", "300"), ("100", "10")])
+    def test_transfer_cost_limit_exit_3(self, capsys, monkeypatch, m, n):
+        monkeypatch.delenv("SANDPILE_MAX_OBJECTS", raising=False)
+        code, out, err = run(capsys, "poly", "--m", m, "--n", n, "--method", "transfer")
+        assert code == 3
+        assert out == ""
+        assert "cells exceeds cap" in json.loads(err)["detail"]
+
+    def test_transfer_symmetry_scan_stops_at_the_cap(self, capsys, monkeypatch):
+        # a lower cap keeps the widths scanned before the refusal cheap
+        monkeypatch.setenv("SANDPILE_MAX_OBJECTS", str(10**6))
+        code, out, err = run(capsys, "verify", "symmetry", "--max-sum", "2", "--transfer-m", "30")
+        assert code == 3
+        assert "transfer matrix F_{" in json.loads(err)["detail"]
+
     def test_resource_limit_exit_3(self, capsys):
         code, _, err = run(
             capsys, "poly", "--m", "8", "--n", "40", "--max-objects", "10"
@@ -293,6 +314,25 @@ class TestVerify:
             "--m", "3", "--n", "3", "--samples", "10", "--seed", "5",
         )
         assert data["passed"] is True
+
+    @pytest.mark.parametrize(
+        "flag,value,low",
+        [
+            ("--max", "-1", 0),
+            ("--max-sum", "-1", 0),
+            ("--transfer-m", "-1", 0),
+            ("--transfer-n", "-1", 1),
+            ("--transfer-n", "0", 1),
+            ("--samples", "-3", 1),
+            ("--samples", "0", 1),
+            ("--samples", "x", 1),
+        ],
+    )
+    def test_bad_count_exit_2(self, capsys, flag, value, low):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "abelian", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be an integer >= {low}" in capsys.readouterr().err
 
     def test_env_cap_exit_3(self, capsys, monkeypatch):
         monkeypatch.setenv("SANDPILE_MAX_OBJECTS", "2")

@@ -21,8 +21,10 @@ class TestObjectCap:
 
     def test_guard(self):
         assert guard_count(5, 10, "x") == 5
-        with pytest.raises(ResourceLimit):
+        with pytest.raises(ResourceLimit, match="x: 11 objects exceeds cap 10"):
             guard_count(11, 10, "x")
+        with pytest.raises(ResourceLimit, match="x: 11 cells exceeds cap 10"):
+            guard_count(11, 10, "x", "cells")
 
     @pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-3"])
     def test_bad_env_rejected(self, monkeypatch, value):

@@ -301,6 +301,17 @@ class TestEnumeration:
         with pytest.raises(ResourceLimit):
             list(enumerate_para(10, 10, max_objects=100))
 
+    def test_trusted_objects_equal_validated(self):
+        # enumerate_para skips re-validation; its objects must be exactly the
+        # validated constructions, field types included
+        for s in range(2, 10):
+            for m in range(1, s):
+                for p in enumerate_para(m, s - m):
+                    q = ParaPolyomino(p.m, p.n, p.top, p.bot)
+                    assert p == q and hash(p) == hash(q)
+                    assert type(p.top) is tuple and type(p.bot) is tuple
+                    assert all(type(v) is int for v in p.top + p.bot)
+
     @pytest.mark.parametrize("m,n", [(3, 0), (0, 3), (-1, 2)])
     def test_box_sizes_checked(self, m, n):
         with pytest.raises(ValueError, match=f"m={m}, n={n}"):

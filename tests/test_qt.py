@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sandnara import polyomino
+from sandnara import polyomino, qt
 from sandnara.bivar import BivarPoly
-from sandnara.errors import NotInDomain
+from sandnara.config import DEFAULT_MAX_OBJECTS
+from sandnara.errors import NotInDomain, ResourceLimit
 from sandnara.polyomino import enumerate_para, narayana_number, para_from_paths
 from sandnara.qt import (
     check_mn_symmetry,
@@ -22,7 +25,7 @@ from sandnara.qt import (
     series_of_form,
     transfer_matrix_F,
 )
-from sandnara.tables import RATIONAL_FORMS, matrix_poly
+from sandnara.tables import RATIONAL_FORMS, RationalForm, matrix_poly
 
 
 class TestNarayanaPoly:
@@ -148,6 +151,34 @@ class TestRationalSeries:
         data = [BivarPoly.zero()] + [narayana_poly(3, n) for n in range(1, 11)]
         assert fit_numerator(data, RATIONAL_FORMS["F2"].factors, 4) is None
 
+    def test_expansion_past_int64_is_exact(self):
+        # the bound 2**52 * C(46, 6) exceeds int64, and so do the coefficients
+        # themselves; fit_numerator multiplies back with BivarPoly arithmetic
+        form = RationalForm(
+            "synthetic",
+            numerator=((2**52, 1, 1, 1),),
+            factors=((1, 1), (1, 2), (2, 1), (1, 1), (1, 2), (2, 1)),
+        )
+        order = 40
+        arrays = [BivarPoly.zero()]
+        for _, arr in rational_series_arrays(form, order):
+            assert arr.dtype == object
+            arrays.append(BivarPoly({(a, w): int(arr[a, w]) for a, w in zip(*np.nonzero(arr))}))
+        assert max(arrays[order].terms.values()) > 2**63
+        assert arrays == list(series_of_form(form, order).coeffs)
+        assert fit_numerator(arrays, form.factors, 1) == form.numerator
+
+    def test_negative_exponents_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            rational_qt_series([(1, -1, 0, 1)], [(1, 1)], 3)
+        form = RationalForm("negative", ((1, -1, 0, 1),), ((1, 1),))
+        with pytest.raises(ValueError, match="non-negative"):
+            list(rational_series_arrays(form, 3))
+
+    def test_int64_while_the_bound_fits(self):
+        for _, arr in rational_series_arrays(RATIONAL_FORMS["F2"], 5):
+            assert arr.dtype == np.int64
+
 
 class TestTransferMatrix:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -165,6 +196,100 @@ class TestTransferMatrix:
         polys = transfer_matrix_F(3, 12)
         for n in range(1, 13):
             assert polys[n - 1].eval_at(1, 1) == narayana_number(n + 2, 3)
+
+    @pytest.mark.parametrize("m,n_max", [(1, 5), (3, 9), (5, 8)])
+    def test_object_dtype_path(self, monkeypatch, m, n_max):
+        want = transfer_matrix_F(m, n_max)
+        monkeypatch.setattr(qt, "_INT64_LIMIT", 0)
+        assert qt._coeff_dtype(1) is object
+        assert transfer_matrix_F(m, n_max) == want
+
+    def test_cost_estimate_is_guarded(self):
+        cells = qt._transfer_plan(5, 12, None)[2]
+        with pytest.raises(ResourceLimit, match=f": {cells} cells exceeds cap {cells - 1}$"):
+            transfer_matrix_F(5, 12, max_objects=cells - 1)
+        assert len(transfer_matrix_F(5, 12, max_objects=cells)) == 12
+
+    def test_object_cells_weigh_more(self, monkeypatch):
+        cells = qt._transfer_plan(5, 12, None)[2]
+        monkeypatch.setattr(qt, "_INT64_LIMIT", 0)
+        assert qt._transfer_plan(5, 12, None)[2] > cells
+
+    @pytest.mark.parametrize("m,n_max,rows_built", [(100, 10, 0), (30, 12, 30)])
+    def test_wide_box_refused_before_its_moves(self, monkeypatch, m, n_max, rows_built):
+        # (100, 10) is refused on its output and first row alone; (30, 12)
+        # after the moves of row 1, before the ~5000 states of row 2 expand
+        calls = []
+        real = qt._transfer_moves
+
+        def spy(state):
+            calls.append(state)
+            return real(state)
+
+        monkeypatch.setattr(qt, "_transfer_moves", spy)
+        monkeypatch.delenv("SANDPILE_MAX_OBJECTS", raising=False)
+        with pytest.raises(ResourceLimit, match="cells exceeds cap"):
+            transfer_matrix_F(m, n_max)
+        assert len(calls) == rows_built
+
+    def test_output_is_counted(self, monkeypatch):
+        # the blocks of the F_{6,100} sweep fit the default cap, but its 100
+        # output polynomials (4.1 * 10^6 terms) are most of its memory
+        monkeypatch.delenv("SANDPILE_MAX_OBJECTS", raising=False)
+        with pytest.raises(ResourceLimit, match=r"F_\{6,100\}"):
+            transfer_matrix_F(6, 100)
+
+    def test_cost_estimate_bounds_every_block(self, monkeypatch):
+        # every block the sweep builds fits the estimate's per-state box
+        m, n_max = 4, 9
+        shapes = []
+        real = qt._sum_blocks
+
+        def spy(parts, dtype):
+            block = real(parts, dtype)
+            shapes.append(block[2].shape)
+            return block
+
+        monkeypatch.setattr(qt, "_sum_blocks", spy)
+        transfer_matrix_F(m, n_max)
+        assert max(a for a, _ in shapes) <= (m - 1) * n_max + 1
+        assert max(w for _, w in shapes) <= m * (m + n_max) - n_max + 1
+
+    def test_f_6_30_at_default_cap(self, monkeypatch):
+        monkeypatch.delenv("SANDPILE_MAX_OBJECTS", raising=False)
+        assert qt._transfer_plan(6, 30, None)[2] <= DEFAULT_MAX_OBJECTS
+        last = transfer_matrix_F(6, 30)[-1]
+        assert last.eval_at(1, 1) == narayana_number(35, 6)
+        assert last.is_qt_symmetric()
+
+    @pytest.mark.parametrize("m,n_max", [(3, 0), (0, 3)])
+    def test_sizes_checked(self, m, n_max):
+        with pytest.raises(ValueError, match="m, n >= 1"):
+            transfer_matrix_F(m, n_max)
+
+
+# Box heights the three routes compare on, per width m <= 6:
+# |Para_{m,n}| <= 2 * 10^4, and n <= 60, which bounds the one-column boxes
+# and keeps every draw cheap.  The width is drawn first, so wide boxes are
+# drawn as often as narrow ones.
+DIFFERENTIAL_HEIGHTS = {
+    m: [n for n in range(1, 61) if narayana_number(m + n - 1, m) <= 2 * 10**4]
+    for m in range(1, 7)
+}
+differential_boxes = st.integers(1, 6).flatmap(
+    lambda m: st.tuples(st.just(m), st.sampled_from(DIFFERENTIAL_HEIGHTS[m]))
+)
+
+
+class TestRoutesAgree:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(differential_boxes)
+    def test_enumeration_transfer_series(self, box):
+        m, n = box
+        enum = narayana_poly(m, n)
+        assert transfer_matrix_F(m, n)[n - 1] == enum
+        if m >= 2:
+            assert series_of_form(RATIONAL_FORMS[f"F{m}"], n)[n] == enum
 
 
 class TestRibbonSwap:
