@@ -279,16 +279,21 @@ def _verify_symmetry(args) -> list[Check]:
             checks.append(check_qt_symmetry(m, n, args.max_objects))
             if m < n:
                 checks.append(check_mn_symmetry(m, n, args.max_objects))
-    for m in range(2, args.transfer_m + 1):
+    # widest box first: its cost estimate is the largest, so an over-cap
+    # --transfer-m is refused before any width is computed
+    transfer: list[Check] = []
+    for m in range(args.transfer_m, 1, -1):
         polys = transfer_matrix_F(m, args.transfer_n, args.max_objects)
         ok = all(p.is_qt_symmetric() for p in polys)
-        checks.append(Check(f"qt-symmetry transfer m={m} n<={args.transfer_n}", ok))
         small = min(6, args.transfer_n)
         agree = all(
             polys[k - 1] == narayana_poly(m, k) for k in range(1, small + 1)
         )
-        checks.append(Check(f"transfer==enumeration m={m} n<={small}", agree))
-    return checks
+        transfer[:0] = [
+            Check(f"qt-symmetry transfer m={m} n<={args.transfer_n}", ok),
+            Check(f"transfer==enumeration m={m} n<={small}", agree),
+        ]
+    return checks + transfer
 
 
 def _verify_counts(args) -> list[Check]:
@@ -487,15 +492,14 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"sandnara {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", default="json", choices=["json", "csv", "matrix"])
-        p.add_argument("--max-objects", type=int, default=None, dest="max_objects")
+    def formats(p, *extra):
+        p.add_argument("--format", default="json", choices=["json", "csv", *extra])
 
     p = sub.add_parser("stabilize", help="topple to the stable state")
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--heights", type=_heights, required=True)
-    common(p)
+    formats(p)
     p.set_defaults(func=cmd_stabilize)
 
     p = sub.add_parser("check", help="recurrence and class predicates")
@@ -504,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--heights", type=_heights, required=True)
     p.add_argument("--verbose", action="store_true")
-    common(p)
+    formats(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("map", help="bijections between the combinatorial families")
@@ -516,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--heights", type=_heights, default=None)
     p.add_argument("--input", default=None, help="JSON object, @file, or - for stdin")
-    common(p)
+    formats(p)
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("poly", help="q,t-Narayana polynomials and series")
@@ -525,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["enum", "transfer"], default="enum")
     p.add_argument("--series", choices=sorted(RATIONAL_FORMS), default=None)
     p.add_argument("--order", type=_nonnegative_int, default=8)
-    common(p)
+    formats(p, "matrix")
+    p.add_argument("--max-objects", type=int, default=None, dest="max_objects")
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("verify", help="identity and conjecture verification jobs")
@@ -556,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--samples", type=_positive_int, default=25)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    formats(p)
+    p.add_argument("--max-objects", type=int, default=None, dest="max_objects")
     p.set_defaults(func=cmd_verify)
 
     return top

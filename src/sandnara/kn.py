@@ -26,24 +26,22 @@ from .errors import NotRecurrent, NotSorted, json_field
 from .polyomino import CellSet, ParaPolyomino
 
 
+@dataclass(frozen=True, slots=True)
 class KnConfig:
     """Heights on v_1..v_{n-1} of the n-vertex complete graph with sink v_0."""
 
-    __slots__ = ("n", "heights")
+    n: int
+    heights: tuple[int, ...]
 
-    def __init__(self, n: int, heights: Sequence[int]):
-        heights = tuple(heights)
-        if n < 2:
+    def __post_init__(self):
+        heights = tuple(self.heights)
+        object.__setattr__(self, "heights", heights)
+        if self.n < 2:
             raise ValueError("need n >= 2")
-        if len(heights) != n - 1:
-            raise ValueError(f"expected {n - 1} heights")
+        if len(heights) != self.n - 1:
+            raise ValueError(f"expected {self.n - 1} heights")
         if any(h < 0 for h in heights):
             raise ValueError("heights must be non-negative")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "heights", heights)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("KnConfig is immutable")
 
     def is_stable(self) -> bool:
         return all(h <= self.n - 2 for h in self.heights)
@@ -54,22 +52,6 @@ class KnConfig:
 
     def to_json(self) -> dict:
         return {"n": self.n, "heights": list(self.heights)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "KnConfig":
-        return cls(data["n"], data["heights"])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, KnConfig)
-            and (self.n, self.heights) == (other.n, other.heights)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.heights))
-
-    def __repr__(self) -> str:
-        return f"KnConfig(n={self.n}, heights={self.heights})"
 
 
 def is_parking_function(seq: Sequence[int]) -> bool:

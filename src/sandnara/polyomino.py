@@ -90,18 +90,22 @@ def _profiles_valid(m: int, n: int, top: Sequence[int], bot: Sequence[int]) -> b
     return True
 
 
+@dataclass(frozen=True, slots=True)
 class ParaPolyomino:
     """Immutable parallelogram polyomino; equality and hashing by geometry."""
 
-    __slots__ = ("m", "n", "top", "bot")
+    m: int
+    n: int
+    top: tuple[int, ...]
+    bot: tuple[int, ...]
 
-    def __init__(self, m: int, n: int, top: tuple[int, ...], bot: tuple[int, ...]):
-        if not _profiles_valid(m, n, top, bot):
-            raise PathsCross(f"profiles do not bound a polyomino: {top} / {bot}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "top", tuple(top))
-        object.__setattr__(self, "bot", tuple(bot))
+    def __post_init__(self):
+        if not _profiles_valid(self.m, self.n, self.top, self.bot):
+            raise PathsCross(
+                f"profiles do not bound a polyomino: {self.top} / {self.bot}"
+            )
+        object.__setattr__(self, "top", tuple(self.top))
+        object.__setattr__(self, "bot", tuple(self.bot))
 
     @classmethod
     def _trusted(
@@ -115,9 +119,6 @@ class ParaPolyomino:
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "bot", bot)
         return self
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("ParaPolyomino is immutable")
 
     # -- path views ------------------------------------------------------
 
@@ -250,18 +251,6 @@ class ParaPolyomino:
             raise NotMonotone("declared box does not match the step words")
         return poly
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ParaPolyomino)
-            and self.m == other.m
-            and self.n == other.n
-            and self.top == other.top
-            and self.bot == other.bot
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.n, self.top, self.bot))
-
     def __repr__(self) -> str:
         return f"ParaPolyomino({self.m}x{self.n}, {self.upper!r}/{self.lower!r})"
 
@@ -298,10 +287,6 @@ class CellSet:
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "cells": sorted(map(list, self.cells))}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CellSet":
-        return cls(data["m"], data["n"], frozenset(map(tuple, data["cells"])))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,13 @@ import numpy as np
 from .bivar import BivarPoly, QtSeries
 from .config import Check, guard_count
 from .errors import NotInDomain
-from .polyomino import ParaPolyomino, count_para, narayana_number, _profile_chunks
+from .polyomino import (
+    CellSet,
+    ParaPolyomino,
+    count_para,
+    narayana_number,
+    _profile_chunks,
+)
 from .tables import RationalForm
 
 # -- direct enumeration --------------------------------------------------------
@@ -414,8 +420,6 @@ def ribbon_swap(poly: ParaPolyomino) -> ParaPolyomino:
             cells.add((col, ys[i - 1] + 1))
         for row in range(ys[i - 1] + 1, ys[i] + 1):
             cells.add((xs[i], row))
-    from .polyomino import CellSet
-
     out = CellSet(m, n, frozenset(cells)).as_para()
     if out is None or not out.is_ribbon():  # pragma: no cover - construction proof
         raise NotInDomain("swap image failed to be a ribbon")

@@ -37,25 +37,23 @@ from .polyomino import (
 Heights = tuple[int, ...]
 
 
+@dataclass(frozen=True, slots=True)
 class BipartiteConfig:
     """Grain heights on v_1..v_{m+n-1}; immutable."""
 
-    __slots__ = ("m", "n", "heights")
+    m: int
+    n: int
+    heights: Heights
 
-    def __init__(self, m: int, n: int, heights: Sequence[int]):
-        heights = tuple(heights)
-        if m < 1 or n < 1:
+    def __post_init__(self):
+        heights = tuple(self.heights)
+        object.__setattr__(self, "heights", heights)
+        if self.m < 1 or self.n < 1:
             raise ValueError("need m, n >= 1")
-        if len(heights) != m + n - 1:
-            raise ValueError(f"expected {m + n - 1} heights, got {len(heights)}")
+        if len(heights) != self.m + self.n - 1:
+            raise ValueError(f"expected {self.m + self.n - 1} heights, got {len(heights)}")
         if any(h < 0 for h in heights):
             raise ValueError("heights must be non-negative")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "heights", heights)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("BipartiteConfig is immutable")
 
     @property
     def top(self) -> Heights:
@@ -78,22 +76,6 @@ class BipartiteConfig:
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "heights": list(self.heights)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BipartiteConfig":
-        return cls(data["m"], data["n"], data["heights"])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BipartiteConfig)
-            and (self.m, self.n, self.heights) == (other.m, other.n, other.heights)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.n, self.heights))
-
-    def __repr__(self) -> str:
-        return f"BipartiteConfig(m={self.m}, n={self.n}, heights={self.heights})"
 
 
 Wave = tuple[str, frozenset[int]]
@@ -131,14 +113,6 @@ class TopplingTrace:
                 {"side": side, "vertices": sorted(s)} for side, s in self.waves
             ]
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TopplingTrace":
-        return cls(
-            tuple(
-                (w["side"], frozenset(w["vertices"])) for w in data["waves"]
-            )
-        )
 
 
 # -- core dynamics ------------------------------------------------------------
@@ -320,20 +294,6 @@ class DecoratedPolyomino:
             raise ValueError("A must partition {1..m-1}")
         if got_b != list(range(m, m + n)):
             raise ValueError("B must partition {m..m+n-1}")
-
-    def to_json(self) -> dict:
-        out = self.poly.to_json()
-        out["A"] = [sorted(s) for s in self.A]
-        out["B"] = [sorted(s) for s in self.B]
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DecoratedPolyomino":
-        return cls(
-            ParaPolyomino.from_json(data),
-            tuple(frozenset(s) for s in data["A"]),
-            tuple(frozenset(s) for s in data["B"]),
-        )
 
 
 def decorate(config: BipartiteConfig) -> DecoratedPolyomino:

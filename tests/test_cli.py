@@ -265,11 +265,12 @@ class TestPoly:
         assert "cells exceeds cap" in json.loads(err)["detail"]
 
     def test_transfer_symmetry_scan_stops_at_the_cap(self, capsys, monkeypatch):
-        # a lower cap keeps the widths scanned before the refusal cheap
-        monkeypatch.setenv("SANDPILE_MAX_OBJECTS", str(10**6))
+        monkeypatch.delenv("SANDPILE_MAX_OBJECTS", raising=False)
         code, out, err = run(capsys, "verify", "symmetry", "--max-sum", "2", "--transfer-m", "30")
         assert code == 3
-        assert "transfer matrix F_{" in json.loads(err)["detail"]
+        assert out == ""
+        # the widest box is refused first, before any width is computed
+        assert "transfer matrix F_{30,12}" in json.loads(err)["detail"]
 
     def test_resource_limit_exit_3(self, capsys):
         code, _, err = run(
@@ -345,3 +346,22 @@ class TestVerify:
         code, _, err = run(capsys, "poly", "--m", "3", "--n", "3")
         assert code == 2
         assert "SANDPILE_MAX_OBJECTS" in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv,complaint",
+    [
+        (
+            ["stabilize", "--m", "3", "--n", "4", "--heights", "2,0,3,2,1,3",
+             "--max-objects", "5"],
+            "unrecognized arguments: --max-objects 5",
+        ),
+        (["verify", "counts", "--format", "matrix"], "invalid choice: 'matrix'"),
+    ],
+    ids=["stabilize-max-objects", "verify-format-matrix"],
+)
+def test_option_the_command_ignores_exit_2(capsys, argv, complaint):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert complaint in capsys.readouterr().err

@@ -6,7 +6,6 @@ import pytest
 
 from sandnara.errors import NotMonotone, PathsCross, ResourceLimit
 from sandnara.polyomino import (
-    CellSet,
     HeightSeqs,
     ParaPolyomino,
     bounce_weight_of_runs,
@@ -96,7 +95,6 @@ class TestCellsFromHeights:
         cs = cells_from_heights(HeightSeqs(2, 2, (1,), (1, 1)))
         data = cs.to_json()
         assert data["cells"] == sorted(data["cells"])
-        assert CellSet.from_json(data) == cs
 
 
 class TestSequenceCharacterization:

@@ -15,7 +15,6 @@ from sandnara.polyomino import HeightSeqs, cells_from_heights, para_from_paths
 from sandnara.sandpile import (
     BipartiteConfig,
     DecoratedPolyomino,
-    TopplingTrace,
     canon_top,
     cell_image,
     config_of_para,
@@ -102,10 +101,6 @@ class TestCanonTop:
     def test_unstable_rejected(self):
         with pytest.raises(ValueError):
             canon_top(BipartiteConfig(2, 2, (5, 0, 0)))
-
-    def test_trace_json_round_trip(self):
-        trace = canon_top(BipartiteConfig(3, 4, (0, 2, 1, 2, 1, 2)))
-        assert TopplingTrace.from_json(trace.to_json()) == trace
 
 
 class TestRecurrence:
