@@ -79,6 +79,7 @@ from .sandpile import (
     is_recurrent,
     level,
     stabilize,
+    topple_random,
     undecorate,
 )
 

@@ -118,10 +118,11 @@ def _top_heavy_trace(config: BipartiteConfig, trace: TopplingTrace) -> bool:
     its wave trace."""
     if config.m != config.n:
         raise NotMinanz(_SQUARE_ONLY)
+    if not _minanz_heights(config):
+        return False
+    wave_of = trace.wave_index().get
     n = config.n
-    return _minanz_heights(config) and all(
-        trace.wave_of(x) <= trace.wave_of(n + x) for x in range(1, n)
-    )
+    return all(wave_of(x) <= wave_of(n + x) for x in range(1, n))
 
 
 # -- bicomposition matrices ------------------------------------------------------
@@ -135,24 +136,31 @@ class BicompMatrix:
     rows: tuple[tuple[frozenset[int], ...], ...]
 
     def __post_init__(self):
-        if self.k < 1 or len(self.rows) != self.k:
+        k = self.k
+        if k < 1 or len(self.rows) != k:
             raise InvalidMatrix("dimension mismatch")
-        if any(len(r) != self.k for r in self.rows):
+        if any(len(r) != k for r in self.rows):
             raise InvalidMatrix("matrix must be square")
+        # one pass over the entries; it also records the non-empty rows and
+        # columns, whose faults are raised after the partition check
         seen: set[int] = set()
         total = 0
-        for r in self.rows:
-            for cell in r:
+        row_used = [False] * k
+        col_used = [False] * k
+        for i, r in enumerate(self.rows):
+            for j, cell in enumerate(r):
                 if seen & cell:
                     raise InvalidMatrix("entries must be pairwise disjoint")
-                seen |= cell
-                total += len(cell)
+                if cell:
+                    seen |= cell
+                    total += len(cell)
+                    row_used[i] = col_used[j] = True
         if not seen or sorted(seen) != list(range(1, total + 1)):
             raise InvalidMatrix("entries must partition {1..N}")
-        for i in range(self.k):
-            if not any(self.rows[i][j] for j in range(self.k)):
+        for i in range(k):
+            if not row_used[i]:
                 raise InvalidMatrix(f"row {i + 1} is empty")
-            if not any(self.rows[j][i] for j in range(self.k)):
+            if not col_used[i]:
                 raise InvalidMatrix(f"column {i + 1} is empty")
 
     @property
@@ -206,11 +214,8 @@ def matrix_of_config(config: BipartiteConfig) -> BicompMatrix:
     if qs[-1] != frozenset({n}):
         raise NotMinanz("canonical toppling must end with the wave {v_n}")
     k = len(ps)
-    qshift = [frozenset(x - n for x in q) for q in qs[:k]]
-    rows = tuple(
-        tuple(ps[i] & qshift[j] for j in range(k)) for i in range(k)
-    )
-    return BicompMatrix(k, rows)
+    qshift = [frozenset([x - n for x in q]) for q in qs[:k]]
+    return BicompMatrix(k, tuple(tuple([p & q for q in qshift]) for p in ps))
 
 
 def config_of_matrix(mat: BicompMatrix) -> BipartiteConfig:
@@ -222,15 +227,18 @@ def config_of_matrix(mat: BicompMatrix) -> BipartiteConfig:
         u_x       = n   - (q_1 + ... + q_i)       for x in row union i.
     """
     k = mat.k
-    n = mat.ground_size + 1
-    p = [len(mat.row_union(i)) for i in range(k)]
-    q = [len(mat.col_union(j)) for j in range(k)]
+    rows = [mat.row_union(i) for i in range(k)]
+    cols = [mat.col_union(j) for j in range(k)]
+    n = sum(map(len, rows)) + 1
     heights = [0] * (2 * n - 1)
+    p_before = q_through = 0  # p_1 + ... + p_{i-1} and q_1 + ... + q_i
     for i in range(k):
-        for x in mat.col_union(i):
-            heights[n - 1 + x] = n - 1 - sum(p[:i])
-        for x in mat.row_union(i):
-            heights[x - 1] = n - sum(q[: i + 1])
+        q_through += len(cols[i])
+        for x in cols[i]:
+            heights[n - 1 + x] = n - 1 - p_before
+        for x in rows[i]:
+            heights[x - 1] = n - q_through
+        p_before += len(rows[i])
     return BipartiteConfig(n, n, heights)
 
 
@@ -274,16 +282,6 @@ class IntervalOrder:
     @property
     def k(self) -> int:
         return len(self.levels)
-
-    def level_of(self, x: int) -> int:
-        for i, lv in enumerate(self.levels):
-            if x in lv:
-                return i
-        raise ValueError(f"{x} not in ground set")
-
-    def less(self, x: int, y: int) -> bool:
-        """x strictly below y."""
-        return x in self.downsets[self.level_of(y)]
 
     def relation_pairs(self) -> frozenset[tuple[int, int]]:
         out = set()

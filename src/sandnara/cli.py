@@ -77,6 +77,7 @@ from .sandpile import (
     enumerate_rec_star,
     is_recurrent,
     stabilize,
+    topple_random,
 )
 from .tables import RATIONAL_FORMS
 
@@ -421,29 +422,7 @@ def _verify_abelian(args) -> list[Check]:
     for trial in range(args.samples):
         heights = tuple(rng.randrange(0, 2 * (m + n)) for _ in range(m + n - 1))
         cfg = BipartiteConfig(m, n, heights)
-        ref_final, ref_counts = stabilize(cfg)
-        # random single-vertex toppling policy
-        h = list(heights)
-        counts = [0] * (m + n - 1)
-        while True:
-            unstable = [
-                i
-                for i in range(m + n - 1)
-                if h[i] >= (n if i < m - 1 else m)
-            ]
-            if not unstable:
-                break
-            i = rng.choice(unstable)
-            if i < m - 1:
-                h[i] -= n
-                for j in range(m - 1, m + n - 1):
-                    h[j] += 1
-            else:
-                h[i] -= m
-                for j in range(m - 1):
-                    h[j] += 1
-            counts[i] += 1
-        ok = tuple(h) == ref_final.heights and tuple(counts) == ref_counts
+        ok = topple_random(cfg, rng) == stabilize(cfg)
         if not ok:
             checks.append(
                 Check(f"abelian trial {trial}", False, f"start {heights}")

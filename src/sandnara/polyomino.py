@@ -130,12 +130,6 @@ class ParaPolyomino:
     def lower(self) -> str:
         return _profile_to_word(self.bot, self.n)
 
-    def row_span(self, j: int) -> tuple[int, int]:
-        """Leftmost and rightmost column of row j (1-based)."""
-        left = next(i + 1 for i in range(self.m) if self.top[i] >= j)
-        right = max(i + 1 for i in range(self.m) if self.bot[i] < j)
-        return left, right
-
     def cells(self) -> "CellSet":
         cs = frozenset(
             (i + 1, j)
@@ -269,18 +263,30 @@ class CellSet:
                 raise ValueError(f"cell {(i, j)} outside {self.m}x{self.n} box")
 
     def as_para(self) -> ParaPolyomino | None:
-        """The cell set as a parallelogram polyomino, or None if it is not one."""
-        top = []
-        bot = []
-        for i in range(1, self.m + 1):
-            rows = sorted(j for (c, j) in self.cells if c == i)
-            if not rows or rows != list(range(rows[0], rows[-1] + 1)):
+        """The cell set as a parallelogram polyomino, or None if it is not one.
+
+        One pass over the cells records each column's lowest and highest row
+        and its cell count; a column is a contiguous run exactly when the
+        count spans the two.
+        """
+        m = self.m
+        low = [self.n + 1] * (m + 1)
+        high = [0] * (m + 1)
+        count = [0] * (m + 1)
+        for i, j in self.cells:
+            count[i] += 1
+            if j < low[i]:
+                low[i] = j
+            if j > high[i]:
+                high[i] = j
+        for i in range(1, m + 1):
+            if not count[i] or high[i] - low[i] + 1 != count[i]:
                 return None
-            top.append(rows[-1])
-            bot.append(rows[0] - 1)
-        if not _profiles_valid(self.m, self.n, top, bot):
+        top = tuple(high[1:])
+        bot = tuple(j - 1 for j in low[1:])
+        if not _profiles_valid(m, self.n, top, bot):
             return None
-        return ParaPolyomino(self.m, self.n, tuple(top), tuple(bot))
+        return ParaPolyomino._trusted(m, self.n, top, bot)
 
     def is_para(self) -> bool:
         return self.as_para() is not None
@@ -339,13 +345,21 @@ def cells_from_heights(h: HeightSeqs) -> CellSet:
     height, and row j is truncated to width 1 + b_j.  The result may fail to
     be a polyomino.
     """
-    cells = set()
-    for i in range(1, h.m + 1):
-        hi = h.n if i == h.m else 1 + h.a[i - 1]
-        for j in range(1, hi + 1):
-            if i <= 1 + h.b[j - 1]:
-                cells.add((i, j))
-    return CellSet(h.m, h.n, frozenset(cells))
+    m, n, a, b = h.m, h.n, h.a, h.b
+    lows = []  # lowest row reaching each column; b is weakly increasing
+    j = 1
+    for i in range(1, m + 1):
+        while j <= n and b[j - 1] < i - 1:
+            j += 1
+        lows.append(j)
+    # filled cell by cell into a set, so the frozenset copy iterates, and
+    # prints, in the order it always has; a_m = n - 1 (column m is full)
+    cells = {
+        (i, j)
+        for i, low, a_i in zip(range(1, m + 1), lows, (*a, n - 1))
+        for j in range(low, a_i + 2)
+    }
+    return CellSet(m, n, frozenset(cells))
 
 
 def is_para_sequences(h: HeightSeqs) -> bool:

@@ -6,7 +6,7 @@ v_0 is the sink: it absorbs grains and never topples.  A configuration
 assigns grain heights to v_1..v_{m+n-1}; positions 1..m-1 are top vertices
 with out-degree n, positions m..m+n-1 bottom vertices with out-degree m.
 
-Recurrence is decided by the burning criterion: topple the sink once (add a
+Recurrence is decided by Dhar's burning test: topple the sink once (add a
 grain to every bottom vertex) and stabilize; the state is recurrent exactly
 when this returns to the start with every vertex toppling once.  The
 stabilization is scheduled canonically as alternating parallel waves -- all
@@ -14,10 +14,24 @@ unstable bottoms, then all unstable tops, and so on -- because the wave
 sizes of a recurrent state equal the bounce run lengths of its polyomino
 image.  `burn` performs this run once and returns both the verdict and the
 wave trace, so each predicate or map reads what it needs from one run.
+
+On K_{m,n} the run needs no rescans.  Every vertex of one side receives the
+same grains in a wave, and from a stable start no vertex fires twice: a
+bottom never holds more than (m-1) + 1 + (m-1) < 2m grains (its stable
+height, the sink's grain, one from each other top), a top never more than
+(n-1) + n < 2n, so one firing leaves each below its threshold for good.
+Hence a bottom fires once its height plus one plus the number of tops fired
+so far reaches m, a top once its height plus the number of bottoms fired
+reaches n, and each side fires in decreasing height order.  `burn` sorts
+each side once and reads every wave off as the next contiguous slice of
+that order, in O((m+n) log(m+n)) per run instead of a rescan of every
+vertex per wave.  It is still Dhar's burning test, and the waves are the
+ones the literal wave-by-wave process produces.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -100,12 +114,13 @@ class TopplingTrace:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for _, s in self.waves)
 
+    def wave_index(self) -> dict[int, int]:
+        """Vertex -> 1-based wave index i with the vertex in Q_i or P_i."""
+        return {v: pos // 2 + 1 for pos, (_, s) in enumerate(self.waves) for v in s}
+
     def wave_of(self, vertex: int) -> int | None:
         """1-based wave index i with vertex in Q_i or P_i, or None."""
-        for pos, (_, s) in enumerate(self.waves):
-            if vertex in s:
-                return pos // 2 + 1
-        return None
+        return self.wave_index().get(vertex)
 
     def to_json(self) -> dict:
         return {
@@ -122,30 +137,58 @@ def stabilize(config: BipartiteConfig) -> tuple[BipartiteConfig, tuple[int, ...]
     """Topple until stable; returns the stable state and per-vertex topple counts.
 
     The result does not depend on the toppling order (grains sent to the sink
-    are discarded), so a simple sweep schedule is used.
+    are discarded), so a simple sweep schedule is used: topple every unstable
+    top as often as it can, pass the sweep's total to every bottom at once,
+    then the same for the bottoms.
     """
     m, n = config.m, config.n
     h = list(config.heights)
     counts = [0] * (m + n - 1)
+    tops, bottoms = range(m - 1), range(m - 1, m + n - 1)
     unstable = True
     while unstable:
         unstable = False
-        for i in range(m - 1):
-            if h[i] >= n:
-                k = h[i] // n
-                h[i] -= k * n
-                counts[i] += k
-                for j in range(m - 1, m + n - 1):
-                    h[j] += k
+        for side, cap, other in ((tops, n, bottoms), (bottoms, m, tops)):
+            fired = 0
+            for v in side:
+                if h[v] >= cap:
+                    k = h[v] // cap
+                    h[v] -= k * cap
+                    counts[v] += k
+                    fired += k
+            if fired:
+                for v in other:
+                    h[v] += fired
                 unstable = True
-        for j in range(m - 1, m + n - 1):
-            if h[j] >= m:
-                k = h[j] // m
-                h[j] -= k * m
-                counts[j] += k
-                for i in range(m - 1):
-                    h[i] += k
-                unstable = True
+    return BipartiteConfig(m, n, h), tuple(counts)
+
+
+def topple_random(
+    config: BipartiteConfig, rng: random.Random
+) -> tuple[BipartiteConfig, tuple[int, ...]]:
+    """Topple one unstable vertex at a time, chosen by `rng.choice`, until
+    stable; returns the stable state and per-vertex topple counts.
+
+    This is the random-policy route to the abelian property, independent of
+    the sweep schedule of `stabilize`.
+    """
+    m, n = config.m, config.n
+    h = list(config.heights)
+    counts = [0] * (m + n - 1)
+    while True:
+        unstable = [i for i in range(m + n - 1) if h[i] >= (n if i < m - 1 else m)]
+        if not unstable:
+            break
+        i = rng.choice(unstable)
+        if i < m - 1:
+            h[i] -= n
+            for j in range(m - 1, m + n - 1):
+                h[j] += 1
+        else:
+            h[i] -= m
+            for j in range(m - 1):
+                h[j] += 1
+        counts[i] += 1
     return BipartiteConfig(m, n, h), tuple(counts)
 
 
@@ -157,40 +200,42 @@ class BurnResult(NamedTuple):
 
 
 def burn(config: BipartiteConfig) -> BurnResult:
-    """Burning run: +1 to every bottom vertex (the sink topples once), then
-    alternate parallel bottom/top waves until stable.  The configuration is
-    recurrent exactly when the run returns to it with every vertex toppling
-    once."""
-    if not config.is_stable():
-        raise ValueError("canonical toppling requires a stable configuration")
+    """Dhar's burning run from a stable configuration: +1 to every bottom
+    vertex (the sink topples once), then alternate parallel bottom/top waves
+    until stable.  The configuration is recurrent exactly when every vertex
+    topples, once each; the run then returns to the start.
+
+    Each side is sorted by height once.  A bottom is unstable after t top
+    firings when its height is at least m-1-t, a top after b bottom firings
+    when its height is at least n-b, and nothing fires twice (module
+    docstring), so each wave is the next slice of its side's sorted order.
+    Raises ValueError on an unstable configuration, read off the same sort.
+    """
     m, n = config.m, config.n
-    h = list(config.heights)
-    for j in range(m - 1, m + n - 1):
-        h[j] += 1
+    h = (0,) + config.heights  # h[v] is the height of v_v
+    key = h.__getitem__
+    tops = sorted(range(1, m), key=key, reverse=True)
+    bottoms = sorted(range(m, m + n), key=key, reverse=True)
+    if h[bottoms[0]] >= m or (tops and h[tops[0]] >= n):
+        raise ValueError("canonical toppling requires a stable configuration")
     waves: list[Wave] = []
+    b = t = 0  # bottoms and tops fired so far
     while True:
-        q = [j for j in range(m - 1, m + n - 1) if h[j] >= m]
-        if not q:
+        start, need = b, m - 1 - t
+        while b < n and h[bottoms[b]] >= need:
+            b += 1
+        if b == start:
             break
-        waves.append(("bottom", frozenset(j + 1 for j in q)))
-        gain = len(q)
-        for j in q:
-            h[j] -= m
-        for i in range(m - 1):
-            h[i] += gain
-        p = [i for i in range(m - 1) if h[i] >= n]
-        if not p:
+        # labels inserted in ascending order, as a scan of the side inserts
+        # them, so each set iterates and prints as the scan's would
+        waves.append(("bottom", frozenset(sorted(bottoms[start:b]))))
+        start, need = t, n - b
+        while t < m - 1 and h[tops[t]] >= need:
+            t += 1
+        if t == start:
             break
-        waves.append(("top", frozenset(i + 1 for i in p)))
-        gain = len(p)
-        for i in p:
-            h[i] -= n
-        for j in range(m - 1, m + n - 1):
-            h[j] += gain
-    recurrent = (
-        tuple(h) == config.heights and sum(len(s) for _, s in waves) == m + n - 1
-    )
-    return BurnResult(recurrent, TopplingTrace(tuple(waves)))
+        waves.append(("top", frozenset(sorted(tops[start:t]))))
+    return BurnResult(b + t == m + n - 1, TopplingTrace(tuple(waves)))
 
 
 def canon_top(config: BipartiteConfig) -> TopplingTrace:
@@ -200,13 +245,19 @@ def canon_top(config: BipartiteConfig) -> TopplingTrace:
 
 def is_recurrent(config: BipartiteConfig) -> bool:
     """Burning criterion; an unstable configuration is not recurrent."""
-    return config.is_stable() and burn(config).recurrent
+    try:
+        return burn(config).recurrent
+    except ValueError:  # unstable
+        return False
 
 
 def _require_recurrent(config: BipartiteConfig) -> BurnResult:
     """The burning run of a recurrent configuration; NotRecurrent otherwise."""
-    if config.is_stable():
+    try:
         burnt = burn(config)
+    except ValueError:  # unstable
+        pass
+    else:
         if burnt.recurrent:
             return burnt
     raise NotRecurrent(f"{config!r} is not recurrent")
@@ -260,10 +311,15 @@ def cell_image(config: BipartiteConfig) -> CellSet:
 def config_of_para(poly: ParaPolyomino) -> BipartiteConfig:
     """Increasing recurrent configuration whose cell image is the polyomino:
     a_i = (top of column i) - 1, b_j = (right end of row j) - 1."""
-    m, n = poly.m, poly.n
-    a = [poly.top[i] - 1 for i in range(m - 1)]
-    b = [poly.row_span(j)[1] - 1 for j in range(1, n + 1)]
-    return BipartiteConfig(m, n, tuple(a) + tuple(b))
+    m, n, bot = poly.m, poly.n, poly.bot
+    a = [t - 1 for t in poly.top[: m - 1]]
+    b = []
+    right = 0  # 0-based rightmost column whose lower path lies below row j
+    for j in range(1, n + 1):
+        while right + 1 < m and bot[right + 1] < j:
+            right += 1
+        b.append(right)
+    return BipartiteConfig(m, n, a + b)
 
 
 # -- decorated polyominoes -------------------------------------------------------

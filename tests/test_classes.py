@@ -180,6 +180,25 @@ class TestMatrixCorrespondence:
         with pytest.raises(InvalidMatrix):
             BicompMatrix.from_lists([[{1}, {3}]])  # not a partition of {1..N}
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([[{2}, {1, 2}]], "matrix must be square"),
+            ([[{1}, {1}], [set(), set()]], "entries must be pairwise disjoint"),
+            ([[{1}, {3}], [set(), set()]], "entries must partition {1..N}"),
+            ([[set(), set()], [set(), set()]], "entries must partition {1..N}"),
+            ([[{1}, set()], [set(), set()]], "row 2 is empty"),
+            ([[set(), set()], [{1}, {2}]], "row 1 is empty"),
+            ([[{1}, set()], [{2}, set()]], "column 2 is empty"),
+        ],
+    )
+    def test_first_fault_reported(self, rows, message):
+        # the checks run in a fixed order; a matrix with several faults
+        # reports the first
+        with pytest.raises(InvalidMatrix) as exc:
+            BicompMatrix.from_lists(rows)
+        assert str(exc.value) == message
+
     def test_top_heavy_images_are_ribbons(self):
         for n in (3, 4, 5):
             for cfg in enumerate_minanz(n, n):

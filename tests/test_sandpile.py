@@ -27,6 +27,7 @@ from sandnara.sandpile import (
     is_recurrent,
     level,
     stabilize,
+    topple_random,
     undecorate,
 )
 
@@ -54,31 +55,11 @@ class TestStabilize:
 
     def test_abelian_random_policies(self):
         rng = random.Random(7)
-        for (m, n) in [(2, 2), (2, 3), (3, 3)]:
-            for _ in range(40):
+        for m in range(1, 13):
+            for n in range(1, 13):
                 heights = tuple(rng.randrange(0, 2 * (m + n)) for _ in range(m + n - 1))
-                ref, ref_counts = stabilize(BipartiteConfig(m, n, heights))
-                h = list(heights)
-                counts = [0] * (m + n - 1)
-                while True:
-                    unstable = [
-                        i for i in range(m + n - 1)
-                        if h[i] >= (n if i < m - 1 else m)
-                    ]
-                    if not unstable:
-                        break
-                    i = rng.choice(unstable)
-                    if i < m - 1:
-                        h[i] -= n
-                        for j in range(m - 1, m + n - 1):
-                            h[j] += 1
-                    else:
-                        h[i] -= m
-                        for j in range(m - 1):
-                            h[j] += 1
-                    counts[i] += 1
-                assert tuple(h) == ref.heights
-                assert tuple(counts) == ref_counts
+                cfg = BipartiteConfig(m, n, heights)
+                assert topple_random(cfg, rng) == stabilize(cfg)
 
 
 class TestCanonTop:
