@@ -155,7 +155,9 @@ class BicompMatrix:
                     seen |= cell
                     total += len(cell)
                     row_used[i] = col_used[j] = True
-        if not seen or sorted(seen) != list(range(1, total + 1)):
+        # a set comparison, not a sort: it needs no order on the elements, so
+        # a non-int entry fails here too, whatever the hash seed
+        if not seen or seen != set(range(1, total + 1)):
             raise InvalidMatrix("entries must partition {1..N}")
         for i in range(k):
             if not row_used[i]:

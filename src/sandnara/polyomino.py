@@ -29,6 +29,7 @@ than step-by-step.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -306,15 +307,16 @@ class HeightSeqs:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.a) != self.m - 1 or len(self.b) != self.n:
+        a, b = self.a, self.b
+        if len(a) != self.m - 1 or len(b) != self.n:
             raise ValueError("sequence lengths must be m-1 and n")
-        if any(not 0 <= v <= self.n - 1 for v in self.a):
+        if a and (min(a) < 0 or max(a) > self.n - 1):
             raise ValueError("a entries must lie in [0, n-1]")
-        if any(not 0 <= v <= self.m - 1 for v in self.b):
+        if b and (min(b) < 0 or max(b) > self.m - 1):
             raise ValueError("b entries must lie in [0, m-1]")
-        if any(x > y for x, y in zip(self.a, self.a[1:])):
+        if not all(map(operator.le, a, a[1:])):
             raise ValueError("a must be weakly increasing")
-        if any(x > y for x, y in zip(self.b, self.b[1:])):
+        if not all(map(operator.le, b, b[1:])):
             raise ValueError("b must be weakly increasing")
 
 
@@ -463,21 +465,22 @@ _CHUNK_ROWS = 1 << 12
 def _column_batches(
     rows: np.ndarray, col: int, m: int, n: int
 ) -> Iterator[tuple[np.ndarray, bool]]:
-    """Extend every row by each admissible value of column `col`, largest
-    first, in slices of at most the chunk bound; a row whose values do not
-    fit in one slice is split across slices.  Yields (slice, is_last).
+    """Extend every profile pair by each admissible value of column `col`,
+    largest first, in slices of at most the chunk bound; a pair whose values
+    do not fit in one slice is split across slices.  Yields (slice, is_last).
 
-    Row layout is top[0..m-1] then bot[0..m-1].  Column top[i] ranges over
-    [top[i-1], n] (top[0] over [1, n]); column bot[i] over
+    The layout is column-major: `rows` has shape (2m, k), row `col` holds
+    entry `col` of all k pairs, top[0..m-1] then bot[0..m-1].  Entry top[i]
+    ranges over [top[i-1], n] (top[0] over [1, n]); entry bot[i] over
     [bot[i-1], top[i-1] - 1].  Neither range is ever empty.
     """
     if col == 0:
-        lo = np.ones(len(rows), dtype=np.int64)
+        lo = np.ones(rows.shape[1], dtype=np.int64)
     else:
-        lo = rows[:, col - 1].astype(np.int64)
-    hi = n if col < m else rows[:, col - m - 1].astype(np.int64) - 1
+        lo = rows[col - 1].astype(np.int64)
+    hi = n if col < m else rows[col - m - 1].astype(np.int64) - 1
     ends = np.cumsum(hi - lo + 1)
-    lo += ends - 1  # now lo[r] - p is the value at flat position p of row r
+    lo += ends - 1  # now lo[r] - p is the value at flat position p of pair r
     total = int(ends[-1])
     limit = max(1, min(_CHUNK_ROWS, _CHUNK_ROWS * 8 // m))
     for s in range(0, total, limit):
@@ -486,8 +489,8 @@ def _column_batches(
         r1 = int(np.searchsorted(ends, e, side="left")) + 1
         reps = np.diff(np.minimum(ends[r0:r1], e), prepend=s)
         idx = np.repeat(np.arange(r0, r1), reps)
-        out = rows[idx]
-        out[:, col] = lo[idx] - np.arange(s, e)
+        out = rows.take(idx, axis=1)  # C-contiguous, unlike rows[:, idx]
+        out[col] = lo[idx] - np.arange(s, e)
         yield out, e == total
 
 
@@ -502,11 +505,16 @@ def _profile_chunks(m: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     value down, depth first, so the rows come out in that order.  A level
     leaves the stack with its last slice, so a box whose expansions fit in
     one slice holds a single batch at a time.
+
+    The batches are built column-major, and `top` and `bot` are transposed
+    views of it: `top.T` and `bot.T` are C-contiguous (m, k) arrays holding
+    one box column per row, so a kernel that works column by column reads
+    contiguous memory without a copy.
     """
     cols = [*range(m - 1), *range(m + 1, 2 * m)]
     # every entry lies in 0..n: int16 holds it while n < 2**15
-    root = np.zeros((1, 2 * m), dtype=np.int16 if n < 2**15 else np.int64)
-    root[0, m - 1] = n
+    root = np.zeros((2 * m, 1), dtype=np.int16 if n < 2**15 else np.int64)
+    root[m - 1, 0] = n
     stack = [(0, iter(((root, True),)))]
     while stack:
         filled = stack[-1][0]
@@ -514,7 +522,7 @@ def _profile_chunks(m: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         if last:
             stack.pop()
         if filled == len(cols):
-            yield rows[:, :m], rows[:, m:]
+            yield rows[:m].T, rows[m:].T
         else:
             stack.append((filled + 1, _column_batches(rows, cols[filled], m, n)))
 
@@ -522,7 +530,7 @@ def _profile_chunks(m: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 def _iter_profiles(m: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Profile pairs in canonical order, one tuple pair at a time."""
     for top, bot in _profile_chunks(m, n):
-        yield from zip(map(tuple, top.tolist()), map(tuple, bot.tolist()))
+        yield from zip(zip(*top.T.tolist()), zip(*bot.T.tolist()))
 
 
 def enumerate_para(

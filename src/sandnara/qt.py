@@ -32,6 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import polyomino
 from .bivar import BivarPoly, QtSeries
 from .config import Check, guard_count
 from .errors import NotInDomain
@@ -48,25 +49,43 @@ from .tables import RationalForm
 
 
 def _bounce_weights(top: np.ndarray, bot: np.ndarray) -> np.ndarray:
-    """Bounce weight of every row of a batch of profile pairs.
+    """Bounce weight of every profile pair of a batch held column by column.
+
+    `top` and `bot` are C-contiguous (m, k) arrays: row i holds column i of
+    the box for all k pairs (the transposes of what `_profile_chunks`
+    yields), so each step below is a contiguous vector operation over the
+    batch in the narrow profile dtype.
 
     With the bounce path's turning points (x_0, y_0) = (m-1, n),
     y_{r+1} = bot[x_r] and x_{r+1} = #{i : top[i] <= y_{r+1}}, the weight
     sum ceil(i/2) c_i telescopes to sum_r (x_r + y_r).  The count is the
     west-run stop of `ParaPolyomino.bounce_seq` because top is weakly
-    increasing and bot[x] < top[x-1]; x strictly decreases until it is 0,
-    after which every term is 0, so the loop runs at most m - 1 rounds.
+    increasing and bot[x] < top[x-1]; it runs over top[0..m-2] only, since
+    top[m-1] = n > y.  x strictly decreases until it is 0, after which every
+    term is 0, so the loop runs at most m - 1 rounds.
     """
-    k, m = top.shape
-    rows = np.arange(k)
-    x = np.full(k, m - 1, dtype=np.int64)
-    w = x + top[:, -1]
+    m, k = top.shape
+    x = np.full(k, m - 1, dtype=np.intp)
+    w = x + top[-1]
+    flat = bot.ravel()  # bot[i, j] is flat[i * k + j]
+    pos = np.arange(k)
     while x.any():
-        y = bot[rows, x]
-        x = np.count_nonzero(top <= y[:, None], axis=1)
+        y = flat[x * k + pos]
+        x = np.count_nonzero(top[:-1] <= y, axis=0)
         w += x
         w += y
     return w
+
+
+def _sum_counts(parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Merge (sorted distinct keys, counts) pairs into one such pair,
+    adding the counts of equal keys."""
+    keys = np.concatenate([k for k, _ in parts])
+    counts = np.concatenate([c for _, c in parts])
+    order = np.argsort(keys, kind="stable")  # linear on presorted runs
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[first], np.add.reduceat(counts[order], first)
 
 
 def narayana_poly(m: int, n: int, max_objects: int | None = None) -> BivarPoly:
@@ -77,19 +96,30 @@ def narayana_poly(m: int, n: int, max_objects: int | None = None) -> BivarPoly:
     packed key area * W + weight, where W = (m+1)(m+n) exceeds every bounce
     weight (at most m terms x_r + y_r < m+n) and area <= mn.  The key is
     exact in int64 for every box the bound check below admits.
+
+    Each batch is read column-major (see `_bounce_weights`): the area is a
+    sum of m contiguous column differences and every bounce round compares
+    contiguous columns, where a row-major batch would walk short strided
+    rows.  The per-batch histograms, sorted (key, count) arrays from
+    `np.unique`, are merged in numpy whenever they hold the chunk bound's
+    worth of keys, so the pending ones stay within the batch memory bound.
     """
     guard_count(count_para(m, n), max_objects, f"Para_{{{m},{n}}}")
     W = (m + 1) * (m + n)
     if (m * n + 1) * W > np.iinfo(np.int64).max:
         raise ValueError(f"box m={m}, n={n} is too large for int64 histogram keys")
-    acc: dict[tuple[int, int], int] = {}
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    held = 0
     for top, bot in _profile_chunks(m, n):
-        area = top.sum(axis=1, dtype=np.int64) - bot.sum(axis=1, dtype=np.int64)
-        keys, counts = np.unique(area * W + _bounce_weights(top, bot), return_counts=True)
-        for key, cnt in zip(keys.tolist(), counts.tolist()):
-            a_w = divmod(key, W)
-            acc[a_w] = acc.get(a_w, 0) + cnt
-    return BivarPoly(acc)
+        top, bot = top.T, bot.T
+        area = (top - bot).sum(axis=0, dtype=np.int64)
+        parts.append(np.unique(area * W + _bounce_weights(top, bot), return_counts=True))
+        held += parts[-1][0].size
+        if held >= polyomino._CHUNK_ROWS:
+            parts, held = [_sum_counts(parts)], 0
+    keys, counts = _sum_counts(parts)
+    area, weight = np.divmod(keys, W)
+    return BivarPoly._trusted(dict(zip(zip(area.tolist(), weight.tolist()), counts.tolist())))
 
 
 # -- symmetry checks ------------------------------------------------------------
@@ -475,7 +505,7 @@ def ribbon_swap_inv(poly: ParaPolyomino) -> ParaPolyomino:
 # (u in 1..n) and the bottom of column 2 (l in 0..u-1); the bounce path gives
 # area = u + n - l and bounce weight = n + 1 + l.  The map (u, l) -> (area,
 # weight) is injective, so F_{2,n} is the indicator of its image, built with
-# one index assignment.  It is an independent closed form: the test suite
+# one triangle write.  It is an independent closed form: the test suite
 # asserts it against enumeration, and it is the reference for the streamed
 # F2 series arrays.
 
@@ -488,8 +518,9 @@ def narayana_m2_array(n: int, size: int | None = None) -> np.ndarray:
     if size < 2 * n + 3:
         raise ValueError("array too small for the exponent range")
     hist = np.zeros((size, size), dtype=np.int64)
-    l, u = np.triu_indices(n + 1, 1)  # every pair 0 <= l < u <= n
-    hist[u + n - l, n + 1 + l] = 1
+    # weight n + 1 + l (l = 0..n-1) takes every area n + 1 .. 2n - l, so the
+    # image is the anti-triangle i + j <= n - 1 of the block at (n+1, n+1)
+    hist[n + 1 : 2 * n + 1, n + 1 : 2 * n + 1] = np.tri(n, n, dtype=np.int64)[::-1]
     return hist
 
 

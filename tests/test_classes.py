@@ -1,8 +1,14 @@
 """Minanz classes, bicomposition matrices, interval orders, counting."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import sandnara
 
 from sandnara.classes import (
     BicompMatrix,
@@ -198,6 +204,28 @@ class TestMatrixCorrespondence:
         with pytest.raises(InvalidMatrix) as exc:
             BicompMatrix.from_lists(rows)
         assert str(exc.value) == message
+
+    def test_non_int_entry_is_invalid_under_any_hash_seed(self):
+        # a str among the entries fails the partition check as InvalidMatrix;
+        # the outcome must not depend on the set iteration order
+        code = (
+            "from sandnara.classes import BicompMatrix\n"
+            "from sandnara.errors import InvalidMatrix\n"
+            "try:\n"
+            "    BicompMatrix.from_lists([[{1, 'a'}]])\n"
+            "except InvalidMatrix as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        src = str(Path(sandnara.__file__).resolve().parent.parent)
+        outs = set()
+        for seed in ("0", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+            )
+            assert done.returncode == 0, done.stderr
+            outs.add(done.stdout.strip())
+        assert outs == {"InvalidMatrix entries must partition {1..N}"}
 
     def test_top_heavy_images_are_ribbons(self):
         for n in (3, 4, 5):

@@ -97,6 +97,31 @@ class TestCellsFromHeights:
         assert data["cells"] == sorted(data["cells"])
 
 
+class TestHeightSeqsValidation:
+    @pytest.mark.parametrize(
+        "m,n,a,b,message",
+        [
+            # every rule is broken; the length check comes first
+            (3, 2, (5, 9, 1), (7, 0), "sequence lengths must be m-1 and n"),
+            # range of a and b broken, both out of order: a's range first
+            (3, 2, (5, 0), (7, 0), "a entries must lie in [0, n-1]"),
+            (3, 2, (-1, 0), (7, 0), "a entries must lie in [0, n-1]"),
+            (3, 2, (1, 0), (7, 0), "b entries must lie in [0, m-1]"),
+            (3, 2, (1, 0), (-1, 0), "b entries must lie in [0, m-1]"),
+            (3, 2, (1, 0), (2, 0), "a must be weakly increasing"),
+            (3, 2, (0, 1), (2, 0), "b must be weakly increasing"),
+        ],
+    )
+    def test_first_fault_reported(self, m, n, a, b, message):
+        with pytest.raises(ValueError) as exc:
+            HeightSeqs(m, n, a, b)
+        assert str(exc.value) == message
+
+    def test_edges_accepted(self):
+        assert HeightSeqs(1, 1, (), (0,)).a == ()
+        assert HeightSeqs(3, 2, (0, 1), (0, 2)).b == (0, 2)
+
+
 class TestSequenceCharacterization:
     def test_big_example_true(self):
         h = HeightSeqs(9, 7, (2, 3, 4, 4, 5, 6, 6, 6), (0, 0, 2, 4, 4, 6, 8))

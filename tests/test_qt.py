@@ -1,5 +1,7 @@
 """q,t-Narayana polynomials: enumeration, closed forms, transfer matrix, swap."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,6 +283,39 @@ differential_boxes = st.integers(1, 6).flatmap(
 )
 
 
+# Batch-kernel draws: a batch bound of 1..64 rows, a width m <= 8, and a
+# height n <= 60 with |Para_{m,n}| <= 2 * 10^4.  The box is also held to at
+# most 256 batches of the drawn bound, which keeps one-row batches cheap.
+KERNEL_BOXES = {
+    m: [(n, narayana_number(m + n - 1, m)) for n in range(1, 61)
+        if narayana_number(m + n - 1, m) <= 2 * 10**4]
+    for m in range(1, 9)
+}
+kernel_draws = st.tuples(st.integers(1, 64), st.integers(1, 8)).flatmap(
+    lambda rm: st.tuples(
+        st.just(rm[0]),
+        st.just(rm[1]),
+        st.sampled_from([n for n, size in KERNEL_BOXES[rm[1]] if size <= 256 * rm[0]]),
+    )
+)
+
+
+class TestBatchKernel:
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(kernel_draws)
+    def test_matches_per_object_statistics(self, draw):
+        # the per-object bounce_seq is independent of the batch kernel;
+        # small batch bounds split a box over many batches and merges
+        rows, m, n = draw
+        want: dict[tuple[int, int], int] = {}
+        for p in enumerate_para(m, n):
+            key = (p.area, p.bounce_weight)
+            want[key] = want.get(key, 0) + 1
+        with mock.patch.object(polyomino, "_CHUNK_ROWS", rows):
+            got = narayana_poly(m, n)
+        assert got == BivarPoly(want)
+
+
 class TestRoutesAgree:
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(differential_boxes)
@@ -360,11 +395,22 @@ class TestRegularExpressionWeights:
 
 
 class TestVectorizedTwin:
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 19, 40])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 19, 40, 111, 200])
     def test_array_enumeration_matches_generic(self, n):
         arr = narayana_m2_array(n)
         want = poly_to_array(narayana_poly(2, n), arr.shape[0])
         assert np.array_equal(arr, want)
+
+    @pytest.mark.parametrize("n,extra", [(1, 1), (5, 4), (40, 9), (200, 17)])
+    def test_array_larger_size(self, n, extra):
+        size = 2 * n + 3 + extra
+        arr = narayana_m2_array(n, size)
+        assert arr.shape == (size, size) and arr.dtype == np.int64
+        assert np.array_equal(arr, poly_to_array(narayana_poly(2, n), size))
+
+    def test_array_too_small(self):
+        with pytest.raises(ValueError, match="too small"):
+            narayana_m2_array(4, 10)
 
     def test_array_series_matches_generic(self):
         generic = series_of_form(RATIONAL_FORMS["F2"], 12)
