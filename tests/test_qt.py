@@ -286,16 +286,14 @@ differential_boxes = st.integers(1, 6).flatmap(
 # Batch-kernel draws: a batch bound of 1..64 rows, a width m <= 8, and a
 # height n <= 60 with |Para_{m,n}| <= 2 * 10^4.  The box is also held to at
 # most 256 batches of the drawn bound, which keeps one-row batches cheap.
-KERNEL_BOXES = {
-    m: [(n, narayana_number(m + n - 1, m)) for n in range(1, 61)
-        if narayana_number(m + n - 1, m) <= 2 * 10**4]
-    for m in range(1, 9)
-}
+KERNEL_SIZES = {m: [(n, narayana_number(m + n - 1, m)) for n in range(1, 61)] for m in range(1, 9)}
 kernel_draws = st.tuples(st.integers(1, 64), st.integers(1, 8)).flatmap(
     lambda rm: st.tuples(
         st.just(rm[0]),
         st.just(rm[1]),
-        st.sampled_from([n for n, size in KERNEL_BOXES[rm[1]] if size <= 256 * rm[0]]),
+        st.sampled_from(
+            [n for n, size in KERNEL_SIZES[rm[1]] if size <= min(2 * 10**4, 256 * rm[0])]
+        ),
     )
 )
 
