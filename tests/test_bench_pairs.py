@@ -1,6 +1,8 @@
 """The summary and verdict rules of tools/bench_pairs.py, on made-up runs."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,55 @@ def test_compare_traced():
     assert out["layers"]["qt.narayana_poly.objects_per_s"]["ratio"] == pytest.approx(2.0)
     out = bench_pairs.compare_traced(traced(0.2, 10), traced(0.1, 11))
     assert out["calls_differing"] == ["qt.narayana_poly.calls"]
+
+
+def test_compare_traced_layer_missing_from_change():
+    parent = {"metrics": {"old.layer.busy_s": {"value": 0.5}, "old.layer.calls": {"value": 3}}}
+    out = bench_pairs.compare_traced(parent, {"metrics": {}})
+    assert out["layers"]["old.layer.busy_s"]["change"] == 0.0
+    assert out["calls_differing"] == ["old.layer.calls"]
+
+
+FAKE_RUN = '''
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+wall = float(open("wall.txt").read()) + int(args["--seed"]) / 1000
+metrics = {"wall_s": {"value": wall}}
+if args["--trace"] == "1":
+    metrics["qt.narayana_poly.busy_s"] = {"value": wall / 2}
+    metrics["qt.narayana_poly.calls"] = {"value": 7}
+print(json.dumps({"workload": args["--workload"], "seconds": args["--seconds"],
+                  "metrics": metrics, "attempted": 2, "failed": 0}))
+'''
+
+
+def fake_tree(root, wall):
+    root.mkdir()
+    (root / "fake_run.py").write_text(FAKE_RUN)
+    (root / "wall.txt").write_text(str(wall))
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "fake_run.py"], "run_seconds": 3, "end_to_end": [WALL],
+    }))
+    return root
+
+
+def test_main_runs_every_workload_into_one_file(tmp_path):
+    parent, change = fake_tree(tmp_path / "p", 1.0), fake_tree(tmp_path / "c", 0.5)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([
+        "--parent", str(parent), "--change", str(change), "--workload", "enum", "series",
+        "--seeds", "1-2", "--pairs", "3", "--trace-seed", "9", "--claim", "enum", "wall_s",
+        "--out", str(out),
+    ]) == 0
+    doc = json.loads(out.read_text())
+    assert sorted(doc["workloads"]) == ["enum", "series"]
+    assert "--seconds 3 " in doc["command"] and doc["runs_not_completed"] == []
+    for name, w in doc["workloads"].items():
+        assert [(p["seed"], p["first"]) for p in w["pairs"]] == [
+            (1, "parent"), (2, "change"), (1, "parent")]
+        assert {p[side]["workload"] for p in w["pairs"] for side in ("parent", "change")} == {name}
+        assert {p["parent"]["seconds"] for p in w["pairs"]} == {"3"}
+        assert w["seeds"] == [1, 2] and w["checks"]["attempted_change"] == 6
+        assert w["summary"]["wall_s"]["verdict"] == "better in every run"
+        assert doc[f"traced_{name}"]["calls_identical"]
+    assert doc["claim"]["workload"] == "enum" and doc["claim"]["met"]

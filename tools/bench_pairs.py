@@ -2,34 +2,35 @@
 
 Usage, from anywhere:
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --workload enum \
-        --seeds 12-21 [--pairs N] [--seconds 35] [--trace-seed N] \
-        [--claim wall_s] [--parent-commit SHA] [--change-commit SHA] \
-        --out BENCH_7.json
+    python3 tools/bench_pairs.py --parent DIR --change DIR \
+        --workload enum [series queries ...] --seeds 12-21 [--pairs N] \
+        [--trace-seed N] [--claim enum wall_s] [--parent-commit SHA] \
+        [--change-commit SHA] --out BENCH_7.json
 
 Each tree is a plain export of one commit (`git archive <commit> | tar -x
 -C DIR`).  The script runs the benchmark command that the change tree's
-BENCHMARK.json declares, unmodified, with the working directory set to each
-tree in turn:
+BENCHMARK.json declares, unmodified, for its declared run length T
+(`run_seconds`), with the working directory set to each tree in turn:
 
     <command> --workload W --seed S --seconds T --trace 0
 
-A pair is one run of each side on the same seed, back to back; the parent
-goes first in even-numbered pairs and the change in odd-numbered ones, so
-slow drift of the host falls on both sides alike.  Pair i uses seed
+The workloads run one after the other, each with the same seeds and number
+of pairs.  A pair is one run of each side on the same seed, back to back;
+the parent goes first in even-numbered pairs and the change in odd-numbered
+ones, so slow drift of the host falls on both sides alike.  Pair i uses seed
 seeds[i % len(seeds)].  With --trace-seed, one traced run per side
-(--trace 1) follows the pairs, and its per-layer metrics are compared.
+(--trace 1) follows each workload's pairs, and its per-layer metrics are
+compared.
 
 The output has the layout of the earlier BENCH files: every run's result
 line, per-metric quartiles (statistics.quantiles(n=4, method='inclusive'))
 over each side's untraced runs, wins and losses by pair, the parent's
 spread (IQR / median), and a verdict per metric.  A metric whose parent
 spread exceeds its bound is 'unresolved' unless every change run beats every
-parent run.  With --claim, the claim rule is checked: the change wins at
-least nine tenths of the pairs and beats the parent median by more than the
-parent IQR.  If --out exists and names the same commits, the workloads run
-now are added to it and the others kept, so workloads can be run in
-separate invocations.
+parent run.  With --claim W M, the claim rule is checked on metric M of
+workload W: the change wins at least nine tenths of the pairs and beats the
+parent median by more than the parent IQR.  The output file is written once,
+after the last run.
 
 Standard library only: it reads numbers off the benchmark's result lines
 and machine information off the report the benchmark writes to .bench_out/
@@ -144,14 +145,16 @@ def claim(summary: dict, metric: str, workload: str, seeds: list[int]) -> dict:
 
 def compare_traced(parent: dict, change: dict) -> dict:
     """Per-layer deltas of one traced run per side: every busy time and
-    rate, and whether every call count is identical."""
+    rate of the parent's run (0.0 where the change's run lacks it), and
+    whether every call count is identical."""
     pm, cm = parent["metrics"], change["metrics"]
     calls = [k for k in pm if k.endswith(".calls")]
     differing = [k for k in calls if pm[k]["value"] != cm.get(k, {}).get("value")]
     layers = {}
     for key in pm:
         if key.endswith(".busy_s") or key.endswith("_per_s"):
-            p, c = pm[key]["value"] or 0.0, cm[key]["value"] or 0.0
+            p = pm[key]["value"] or 0.0
+            c = cm.get(key, {}).get("value") or 0.0
             layers[key] = {"parent": p, "change": c, "delta": c - p,
                            "ratio": c / p if p else None}
     return {"calls_identical": not differing, "calls_differing": differing, "layers": layers}
@@ -183,16 +186,40 @@ def machine(tree: Path, workload: str, seed: int, trace: int) -> dict | None:
     return info
 
 
+def run_pairs(trees: dict[str, Path], command: list[str], seconds: float, workload: str,
+              seeds: list[int], n_pairs: int, not_completed: list[str]) -> list[dict]:
+    """`n_pairs` alternating pairs of untraced runs of one workload; a pair
+    with a side that gave no result is left out and noted in `not_completed`."""
+    pairs: list[dict] = []
+    for i in range(n_pairs):
+        seed = seeds[i % len(seeds)]
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            result, err = run_once(trees[side], command, workload, seed, seconds, 0)
+            print(f"{workload} pair {i} seed {seed} {side}: "
+                  + (f"wall_s {result['metrics']['wall_s']['value']:.4f}" if result else "no result"),
+                  file=sys.stderr)
+            if result is None or not result.get("metrics"):
+                not_completed.append(
+                    f"{workload} seed {seed}, {side} side: no result line ({err[-200:]})")
+                break
+            pair[side] = result
+        else:
+            pairs.append(pair)
+    return pairs
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="exported parent tree")
     parser.add_argument("--change", type=Path, required=True, help="exported change tree")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", nargs="+", required=True, help="one or more workloads")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 12-21 or 3,5,8")
-    parser.add_argument("--pairs", type=int, help="number of pairs (default: one per seed)")
-    parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--trace-seed", type=int, help="add one traced run per side")
-    parser.add_argument("--claim", help="end-to-end metric whose claim rule to check")
+    parser.add_argument("--pairs", type=int, help="pairs per workload (default: one per seed)")
+    parser.add_argument("--trace-seed", type=int, help="add one traced run per side and workload")
+    parser.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "METRIC"),
+                        help="end-to-end metric of a workload whose claim rule to check")
     parser.add_argument("--parent-commit", default=None)
     parser.add_argument("--change-commit", default=None)
     parser.add_argument("--out", type=Path, required=True)
@@ -200,16 +227,17 @@ def main(argv: list[str] | None = None) -> int:
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    command = spec["command"]
-    metrics = spec["end_to_end"]
-    if args.claim and args.claim not in {m["name"] for m in metrics}:
-        parser.error(f"--claim {args.claim} is not an end-to-end metric")
+    command, seconds, metrics = spec["command"], spec["run_seconds"], spec["end_to_end"]
+    if args.claim and (args.claim[0] not in args.workload
+                       or args.claim[1] not in {m["name"] for m in metrics}):
+        parser.error(f"--claim {' '.join(args.claim)}: needs a workload given to --workload "
+                     "and an end-to-end metric")
     n_pairs = args.pairs or len(args.seeds)
 
     doc = {
         "what": WHAT,
-        "command": " ".join(command) + " --workload <w> --seed <N> --seconds "
-                   f"{args.seconds:g} --trace <0|1>",
+        "command": " ".join(command) + f" --workload <w> --seed <N> --seconds {seconds:g} "
+                   "--trace <0|1>",
         "parent_commit": args.parent_commit,
         "change_commit": args.change_commit,
         "checkouts": "each side runs from its own `git archive` export of its commit",
@@ -218,74 +246,53 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
         "runs_not_completed": [],
     }
-    if args.out.exists():
-        old = json.loads(args.out.read_text())
-        if (old.get("parent_commit"), old.get("change_commit")) == (
-            args.parent_commit, args.change_commit
-        ):
-            doc.update(old)
-    doc["workloads"].pop(args.workload, None)
-    doc.pop(f"traced_{args.workload}", None)
+    for workload in args.workload:
+        pairs = run_pairs(trees, command, seconds, workload, args.seeds, n_pairs,
+                          doc["runs_not_completed"])
+        if not pairs:
+            continue
+        if doc["machine"] is None:
+            doc["machine"] = machine(trees["change"], workload, pairs[0]["seed"], 0)
+        summary = {m["name"]: summarize(pairs, m) for m in metrics}
+        doc["workloads"][workload] = {
+            "seeds": sorted({p["seed"] for p in pairs}),
+            "pairs": pairs,
+            "summary": summary,
+            "checks": {
+                "parent": sum(p["parent"]["failed"] for p in pairs),
+                "change": sum(p["change"]["failed"] for p in pairs),
+                "attempted_parent": sum(p["parent"]["attempted"] for p in pairs),
+                "attempted_change": sum(p["change"]["attempted"] for p in pairs),
+            },
+        }
+        for name, s in summary.items():
+            print(f"{workload} {name}: {s['parent']['median']:.6g} -> {s['change']['median']:.6g} "
+                  f"({100 * s['median_change_rel']:+.1f}%, wins {s['change_wins']}/{s['pairs']}, "
+                  f"spread {100 * s['parent_spread_rel']:.0f}%): {s['verdict']}", file=sys.stderr)
 
-    pairs: list[dict] = []
-    seeds_used: list[int] = []
-    for i in range(n_pairs):
-        seed = args.seeds[i % len(args.seeds)]
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            result, err = run_once(trees[side], command, args.workload, seed, args.seconds, 0)
-            print(f"pair {i} seed {seed} {side}: "
-                  + (f"wall_s {result['metrics']['wall_s']['value']:.4f}" if result else "no result"),
-                  file=sys.stderr)
-            if result is None or not result.get("metrics"):
-                doc["runs_not_completed"].append(
-                    f"{args.workload} seed {seed}, {side} side: no result line ({err[-200:]})")
-                break
-            pair[side] = result
-        else:
-            pairs.append(pair)
-            seeds_used.append(seed)
-    if doc["machine"] is None and pairs:
-        doc["machine"] = machine(trees["change"], args.workload, pairs[0]["seed"], 0)
-    if not pairs:
+        if args.trace_seed is not None:
+            traced = {}
+            for side in SIDES:
+                result, err = run_once(trees[side], command, workload, args.trace_seed,
+                                       seconds, 1)
+                if result is None or not result.get("metrics"):
+                    doc["runs_not_completed"].append(
+                        f"{workload} traced seed {args.trace_seed}, {side} side: no result line")
+                    break
+                traced[side] = {"seed": args.trace_seed, "result": result}
+            else:
+                traced.update(compare_traced(traced["parent"]["result"],
+                                             traced["change"]["result"]))
+                doc[f"traced_{workload}"] = traced
+
+    if not doc["workloads"]:
         print("error: no pair completed", file=sys.stderr)
         return 1
-
-    summary = {m["name"]: summarize(pairs, m) for m in metrics}
-    doc["workloads"][args.workload] = {
-        "seeds": sorted(set(seeds_used)),
-        "pairs": pairs,
-        "summary": summary,
-        "checks": {
-            "parent": sum(p["parent"]["failed"] for p in pairs),
-            "change": sum(p["change"]["failed"] for p in pairs),
-            "attempted_parent": sum(p["parent"]["attempted"] for p in pairs),
-            "attempted_change": sum(p["change"]["attempted"] for p in pairs),
-        },
-    }
-    if args.claim:
-        doc["claim"] = claim(summary, args.claim, args.workload, sorted(set(seeds_used)))
-
-    if args.trace_seed is not None:
-        traced = {}
-        for side in SIDES:
-            result, err = run_once(trees[side], command, args.workload, args.trace_seed,
-                                   args.seconds, 1)
-            if result is None or not result.get("metrics"):
-                doc["runs_not_completed"].append(
-                    f"{args.workload} traced seed {args.trace_seed}, {side} side: no result line")
-                break
-            traced[side] = {"seed": args.trace_seed, "result": result}
-        else:
-            traced.update(compare_traced(traced["parent"]["result"], traced["change"]["result"]))
-            doc[f"traced_{args.workload}"] = traced
-
+    if args.claim and args.claim[0] in doc["workloads"]:
+        workload, metric = args.claim
+        doc["claim"] = claim(doc["workloads"][workload]["summary"], metric, workload,
+                             doc["workloads"][workload]["seeds"])
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for name, s in summary.items():
-        print(f"{args.workload} {name}: {s['parent']['median']:.6g} -> {s['change']['median']:.6g} "
-              f"({100 * s['median_change_rel']:+.1f}%, wins {s['change_wins']}/{s['pairs']}, "
-              f"spread {100 * s['parent_spread_rel']:.0f}%): {s['verdict']}", file=sys.stderr)
     return 0
 
 
