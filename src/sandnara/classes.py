@@ -156,8 +156,10 @@ class BicompMatrix:
                     total += len(cell)
                     row_used[i] = col_used[j] = True
         # a set comparison, not a sort: it needs no order on the elements, so
-        # a non-int entry fails here too, whatever the hash seed
-        if not seen or seen != set(range(1, total + 1)):
+        # a non-int entry fails here too, whatever the hash seed; True and 1.0
+        # equal 1, so each entry must also be an int and not a bool
+        ints = all(isinstance(x, int) and not isinstance(x, bool) for x in seen)
+        if not ints or not seen or seen != set(range(1, total + 1)):
             raise InvalidMatrix("entries must partition {1..N}")
         for i in range(k):
             if not row_used[i]:

@@ -254,14 +254,30 @@ def cmd_map(args) -> int:
 
 def cmd_poly(args) -> int:
     if args.series:
-        series = series_of_form(RATIONAL_FORMS[args.series], args.order)
+        ignored = [
+            option
+            for option, given in (
+                ("--m", args.m is not None),
+                ("--n", args.n is not None),
+                ("--method transfer", args.method == "transfer"),
+                ("--max-objects", args.max_objects is not None),
+                ("--format csv", args.format == "csv"),
+            )
+            if given
+        ]
+        if ignored:
+            raise ValueError(f"poly --series does not take {', '.join(ignored)}")
+        order = 8 if args.order is None else args.order
+        series = series_of_form(RATIONAL_FORMS[args.series], order)
         out = {
             "series": args.series,
-            "order": args.order,
+            "order": order,
             "coefficients": [_poly_json(p, args.format) for p in series.coeffs],
         }
         _emit(out)  # a series is always one JSON document
         return EXIT_OK
+    if args.order is not None:
+        raise ValueError("poly --order needs --series")
     if args.m is None or args.n is None:
         raise ValueError("poly needs either --series or both --m and --n")
     if args.method == "transfer":
@@ -297,39 +313,25 @@ def _verify_symmetry(args) -> list[Check]:
     return checks + transfer
 
 
+def _count_check(name: str, got: int, want: int) -> Check:
+    return Check(name, got == want, f"enumerated {got}")
+
+
 def _verify_counts(args) -> list[Check]:
     checks = []
     for s in range(4, args.max + 1):
         for m in range(2, s - 1):
             n = s - m
-            if n < 2:
-                continue
             ribbons = sum(1 for p in enumerate_para(m, n, args.max_objects) if p.is_ribbon())
+            checks.append(_count_check(f"minimal count {m},{n}", ribbons, count_minimal(m, n)))
+            stars = minanz_inc = 0
+            for cfg in enumerate_rec_star(m, n, args.max_objects):
+                stars += 1
+                minanz_inc += is_minanz(cfg)
+            checks.append(_count_check(f"minanz count {m},{n}", minanz_inc, count_minanz(m, n)))
             checks.append(
-                Check(
-                    f"minimal count {m},{n}",
-                    ribbons == count_minimal(m, n),
-                    f"enumerated {ribbons}",
-                )
-            )
-            minanz_inc = sum(
-                1
-                for cfg in enumerate_rec_star(m, n, args.max_objects)
-                if is_minanz(cfg)
-            )
-            checks.append(
-                Check(
-                    f"minanz count {m},{n}",
-                    minanz_inc == count_minanz(m, n),
-                    f"enumerated {minanz_inc}",
-                )
-            )
-            stars = sum(1 for _ in enumerate_rec_star(m, n, args.max_objects))
-            checks.append(
-                Check(
-                    f"increasing-recurrent count {m},{n}",
-                    stars == narayana_number(m + n - 1, m),
-                    f"enumerated {stars}",
+                _count_check(
+                    f"increasing-recurrent count {m},{n}", stars, narayana_number(m + n - 1, m)
                 )
             )
             if args.brute:
@@ -340,21 +342,13 @@ def _verify_counts(args) -> list[Check]:
                     if is_recurrent(BipartiteConfig(m, n, t + b))
                 )
                 checks.append(
-                    Check(
-                        f"recurrent count (burning filter) {m},{n}",
-                        brute == count_rec(m, n),
-                        f"enumerated {brute}",
+                    _count_check(
+                        f"recurrent count (burning filter) {m},{n}", brute, count_rec(m, n)
                     )
                 )
     for n in range(2, args.max // 2 + 1):
         got = sum(1 for _ in enumerate_minanz(n, n, args.max_objects))
-        checks.append(
-            Check(
-                f"square minanz count n={n}",
-                got == count_sqrec(n),
-                f"enumerated {got}",
-            )
-        )
+        checks.append(_count_check(f"square minanz count n={n}", got, count_sqrec(n)))
     return checks
 
 
@@ -364,13 +358,7 @@ def _verify_olson(args) -> list[Check]:
         checks.append(olson_check(n, args.max_objects))
         checks.append(bounce_link_check(n, args.max_objects))
         cnt = sum(1 for _ in enumerate_sorted_recurrent(n, args.max_objects))
-        checks.append(
-            Check(
-                f"sorted recurrent count n={n}",
-                cnt == catalan(n - 1),
-                f"enumerated {cnt}",
-            )
-        )
+        checks.append(_count_check(f"sorted recurrent count n={n}", cnt, catalan(n - 1)))
     return checks
 
 
@@ -436,21 +424,19 @@ def _verify_abelian(args) -> list[Check]:
     return checks
 
 
+VERIFY_JOBS = {
+    "symmetry": _verify_symmetry,
+    "counts": _verify_counts,
+    "olson": _verify_olson,
+    "conjecture-a145600": _verify_conjecture,
+    "kn-area": _verify_kn_area,
+    "abelian": _verify_abelian,
+}
+
+
 def cmd_verify(args) -> int:
-    checks: list[Check] = []
-    what = args.what
-    if what in ("symmetry", "all"):
-        checks.extend(_verify_symmetry(args))
-    if what in ("counts", "all"):
-        checks.extend(_verify_counts(args))
-    if what in ("olson", "all"):
-        checks.extend(_verify_olson(args))
-    if what in ("conjecture-a145600", "all"):
-        checks.extend(_verify_conjecture(args))
-    if what in ("kn-area", "all"):
-        checks.extend(_verify_kn_area(args))
-    if what in ("abelian", "all"):
-        checks.extend(_verify_abelian(args))
+    jobs = VERIFY_JOBS.values() if args.what == "all" else [VERIFY_JOBS[args.what]]
+    checks = [check for job in jobs for check in job(args)]
     hard_failures = [c for c in checks if not c.holds and not c.conjecture]
     out = {
         "checks": [c.to_json() for c in checks],
@@ -507,24 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--method", choices=["enum", "transfer"], default="enum")
     p.add_argument("--series", choices=sorted(RATIONAL_FORMS), default=None)
-    p.add_argument("--order", type=_nonnegative_int, default=8)
+    p.add_argument("--order", type=_nonnegative_int, default=None, help="default 8")
     formats(p, "matrix")
     p.add_argument("--max-objects", type=int, default=None, dest="max_objects")
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("verify", help="identity and conjecture verification jobs")
-    p.add_argument(
-        "what",
-        choices=[
-            "symmetry",
-            "counts",
-            "olson",
-            "conjecture-a145600",
-            "kn-area",
-            "abelian",
-            "all",
-        ],
-    )
+    p.add_argument("what", choices=[*VERIFY_JOBS, "all"])
     p.add_argument(
         "--max", type=_nonnegative_int, default=6, help="size bound for counts/olson/kn checks"
     )

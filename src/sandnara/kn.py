@@ -7,8 +7,12 @@ a parking function, which the burning run cross-checks.
 
 Sorted (weakly decreasing) recurrent states map to polyominoes in an
 n x (n-1) box whose upper path is the staircase; the free lower boundary,
-read from the top-right corner, is a Dyck path of semi-length n-1.  Under
-this correspondence the canonical toppling waves, the polyomino bounce runs
+read from the top-right corner, is a Dyck path of semi-length n-1.  These
+maps reuse the polyomino converters: `diag` is the cell image of the height
+sequences a = (0, ..., n-2), b_j = 1 + x_{n-j}; `dyck_of` reads the lower
+step word; `diag_from_dyck` builds the polyomino from its two step words and
+reads x off its increasing recurrent configuration.  Under this
+correspondence the canonical toppling waves, the polyomino bounce runs
 and the Dyck-path bounce of Haglund line up, giving the exact translation
 between the (area, bounce weight) polynomial on these polyominoes and the
 q,t-Catalan polynomial.
@@ -23,7 +27,8 @@ from typing import Iterator, Sequence
 from .bivar import BivarPoly
 from .config import Check, guard_count
 from .errors import NotRecurrent, NotSorted, json_field
-from .polyomino import CellSet, ParaPolyomino
+from .polyomino import HeightSeqs, ParaPolyomino, para_from_paths, profiles_from_heights
+from .sandpile import config_of_para
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,21 +157,16 @@ def catalan(k: int) -> int:
 
 def diag(config: KnConfig) -> ParaPolyomino:
     """Sorted recurrent state -> polyomino in an n x (n-1) box: row j spans
-    columns j .. 2 + x_{n-j}."""
+    columns j .. 2 + x_{n-j}.  This is the cell image of the height
+    sequences a = (0, ..., n-2), b_j = 1 + x_{n-j}."""
     if not config.is_sorted():
         raise NotSorted(f"{config!r} is not weakly decreasing")
     if not kn_is_recurrent(config):
         raise NotRecurrent(f"{config!r} is not recurrent")
     n = config.n
-    x = config.heights
-    cells = set()
-    for j in range(1, n):
-        for c in range(j, 2 + x[n - j - 1] + 1):
-            cells.add((c, j))
-    poly = CellSet(n, n - 1, frozenset(cells)).as_para()
-    if poly is None:  # pragma: no cover - guaranteed for recurrent sorted states
-        raise NotRecurrent("diagram is not a polyomino")
-    return poly
+    b = tuple(1 + x for x in reversed(config.heights))
+    h = HeightSeqs(n, n - 1, tuple(range(n - 1)), b)
+    return ParaPolyomino(n, n - 1, *profiles_from_heights(h))
 
 
 @dataclass(frozen=True)
@@ -205,45 +205,24 @@ class DyckPath:
 
 
 def dyck_of(poly: ParaPolyomino) -> DyckPath:
-    """Free boundary of a diag() image, read from (n, n-1) down to (1, 0)."""
+    """Free boundary of a diag() image, read from (n, n-1) down to (1, 0):
+    the lower path after its first E step, reversed, N read as S, E as W."""
     m, n = poly.m, poly.n
-    if m != n + 1 or poly.top != tuple(list(range(1, m)) + [n]):
+    if m != n + 1 or poly.top != (*range(1, m), n):
         raise NotSorted("polyomino is not the diagram of a sorted recurrent state")
-    word = []
-    prev = 0
-    for h in poly.bot:
-        word.append("N" * (h - prev))
-        word.append("E")
-        prev = h
-    word.append("N" * (n - prev))
-    flat = "".join(word)
-    seg = flat[1:]  # drop the initial E from (0,0) to (1,0)
-    return DyckPath("".join("S" if ch == "N" else "W" for ch in reversed(seg)))
+    return DyckPath(poly.lower[:0:-1].translate(str.maketrans("NE", "SW")))
 
 
 def diag_from_dyck(path: DyckPath) -> KnConfig:
-    """Inverse of dyck_of composed with diag: rebuild the sorted state."""
+    """Inverse of dyck_of composed with diag: the path, read back as the
+    lower path under the staircase, gives the polyomino, whose increasing
+    recurrent configuration has b_j = 1 + x_{n-j}."""
     n = path.n + 1
-    # reverse the reading: lower path of the polyomino = E + reversed/flipped word
-    seg = "".join("N" if ch == "S" else "E" for ch in reversed(path.word))
-    flat = "E" + seg
-    bot = []
-    y = 0
-    for ch in flat:
-        if ch == "N":
-            y += 1
-        else:
-            bot.append(y)
-    # row j spans [j, 2 + x_{n-j}]; right end of row j is max column with bot < j
-    x = []
-    for j in range(1, n):
-        r = max(c + 1 for c in range(n) if bot[c] < j)
-        x.append(r - 2)
-    x.reverse()
-    cfg = KnConfig(n, tuple(x))
-    if not cfg.is_sorted() or not kn_is_recurrent(cfg):
-        raise NotRecurrent("Dyck path does not encode a sorted recurrent state")
-    return cfg
+    if n < 2:
+        raise ValueError("need n >= 2")
+    staircase = "NE" * (n - 1) + "E"
+    poly = para_from_paths(staircase, "E" + path.word[::-1].translate(str.maketrans("SW", "NE")))
+    return KnConfig(n, tuple(b - 1 for b in reversed(config_of_para(poly).bottom)))
 
 
 def dyck_area(path: DyckPath) -> int:

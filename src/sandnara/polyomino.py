@@ -19,6 +19,11 @@ Geometry conventions used everywhere in this package:
   the last condition saying adjacent columns share at least one row, which
   is exactly the endpoints-only-touching requirement.
 
+Every other representation converts to and from the profiles in one place:
+step words by `_word_to_profile` / `_profile_to_word`, the height sequences
+(a | b) of a sorted configuration by `profiles_from_heights`, and cell sets
+by `CellSet.as_para`.
+
 The bounce path of a polyomino starts at (m-1, n), runs south to the first
 lower-path vertex, west to the first upper-path vertex, and so on down to
 (0, 0).  Its run lengths drive both the sandpile bijection and the
@@ -227,11 +232,10 @@ class ParaPolyomino:
     # -- transformations --------------------------------------------------
 
     def transpose(self) -> "ParaPolyomino":
-        """Reflection across the main diagonal; swaps the box to n x m."""
-        cells = frozenset((j, i) for (i, j) in self.cells().cells)
-        out = CellSet(self.n, self.m, cells).as_para()
-        assert out is not None
-        return out
+        """Reflection across the main diagonal; swaps the box to n x m.  The
+        reflected lower path is the new upper path, with N and E exchanged."""
+        swap = str.maketrans("NE", "EN")
+        return para_from_paths(self.lower.translate(swap), self.upper.translate(swap))
 
     # -- plumbing ----------------------------------------------------------
 
@@ -337,7 +341,22 @@ def para_from_paths(upper: str, lower: str) -> ParaPolyomino:
         raise NotMonotone("box must have at least one column and one row")
     if not _profiles_valid(m, n, up, lo):
         raise PathsCross("paths touch or cross between their endpoints")
-    return ParaPolyomino(m, n, up, lo)
+    return ParaPolyomino._trusted(m, n, up, lo)
+
+
+def profiles_from_heights(h: HeightSeqs) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(top, bot) profiles of the cell diagram of h (`cells_from_heights`):
+    column i < m reaches row 1 + a_i and column m row n; a column's lowest
+    row is the first j with 1 + b_j >= i, one pointer sweep over the weakly
+    increasing b.  An empty column gets bot >= top; nothing is validated."""
+    m, n, a, b = h.m, h.n, h.a, h.b
+    bot = []
+    j = 1
+    for i in range(1, m + 1):
+        while j <= n and b[j - 1] < i - 1:
+            j += 1
+        bot.append(j - 1)
+    return (*(a_i + 1 for a_i in a), n), tuple(bot)
 
 
 def cells_from_heights(h: HeightSeqs) -> CellSet:
@@ -347,21 +366,15 @@ def cells_from_heights(h: HeightSeqs) -> CellSet:
     height, and row j is truncated to width 1 + b_j.  The result may fail to
     be a polyomino.
     """
-    m, n, a, b = h.m, h.n, h.a, h.b
-    lows = []  # lowest row reaching each column; b is weakly increasing
-    j = 1
-    for i in range(1, m + 1):
-        while j <= n and b[j - 1] < i - 1:
-            j += 1
-        lows.append(j)
+    top, bot = profiles_from_heights(h)
     # filled cell by cell into a set, so the frozenset copy iterates, and
-    # prints, in the order it always has; a_m = n - 1 (column m is full)
+    # prints, in the order it always has
     cells = {
         (i, j)
-        for i, low, a_i in zip(range(1, m + 1), lows, (*a, n - 1))
-        for j in range(low, a_i + 2)
+        for i, t, b in zip(range(1, h.m + 1), top, bot)
+        for j in range(b + 1, t + 1)
     }
-    return CellSet(m, n, frozenset(cells))
+    return CellSet(h.m, h.n, frozenset(cells))
 
 
 def is_para_sequences(h: HeightSeqs) -> bool:
@@ -496,7 +509,9 @@ def _column_batches(
 
 def _profile_chunks(m: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every profile pair of Para_{m,n} in canonical order, as (top, bot)
-    arrays of shape (k, m) with k at most the chunk bound.
+    arrays of shape (m, k) with k at most the chunk bound: row i holds box
+    column i of all k pairs, C-contiguous, so a kernel that works column by
+    column reads contiguous memory.
 
     Canonical order is ascending lexicographic on the upper word with N < E,
     then on the lower word; on profiles this is descending lexicographic
@@ -505,11 +520,6 @@ def _profile_chunks(m: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     value down, depth first, so the rows come out in that order.  A level
     leaves the stack with its last slice, so a box whose expansions fit in
     one slice holds a single batch at a time.
-
-    The batches are built column-major, and `top` and `bot` are transposed
-    views of it: `top.T` and `bot.T` are C-contiguous (m, k) arrays holding
-    one box column per row, so a kernel that works column by column reads
-    contiguous memory without a copy.
     """
     cols = [*range(m - 1), *range(m + 1, 2 * m)]
     # every entry lies in 0..n: int16 holds it while n < 2**15
@@ -522,7 +532,7 @@ def _profile_chunks(m: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         if last:
             stack.pop()
         if filled == len(cols):
-            yield rows[:m].T, rows[m:].T
+            yield rows[:m], rows[m:]
         else:
             stack.append((filled + 1, _column_batches(rows, cols[filled], m, n)))
 
@@ -530,7 +540,7 @@ def _profile_chunks(m: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 def _iter_profiles(m: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Profile pairs in canonical order, one tuple pair at a time."""
     for top, bot in _profile_chunks(m, n):
-        yield from zip(zip(*top.T.tolist()), zip(*bot.T.tolist()))
+        yield from zip(zip(*top.tolist()), zip(*bot.tolist()))
 
 
 def enumerate_para(

@@ -42,6 +42,7 @@ from .polyomino import (
     count_para,
     narayana_number,
     _profile_chunks,
+    _word_to_profile,
 )
 from .tables import RationalForm
 
@@ -51,10 +52,10 @@ from .tables import RationalForm
 def _bounce_weights(top: np.ndarray, bot: np.ndarray) -> np.ndarray:
     """Bounce weight of every profile pair of a batch held column by column.
 
-    `top` and `bot` are C-contiguous (m, k) arrays: row i holds column i of
-    the box for all k pairs (the transposes of what `_profile_chunks`
-    yields), so each step below is a contiguous vector operation over the
-    batch in the narrow profile dtype.
+    `top` and `bot` are C-contiguous (m, k) arrays, as `_profile_chunks`
+    yields them: row i holds column i of the box for all k pairs, so each
+    step below is a contiguous vector operation over the batch in the
+    narrow profile dtype.
 
     With the bounce path's turning points (x_0, y_0) = (m-1, n),
     y_{r+1} = bot[x_r] and x_{r+1} = #{i : top[i] <= y_{r+1}}, the weight
@@ -111,7 +112,6 @@ def narayana_poly(m: int, n: int, max_objects: int | None = None) -> BivarPoly:
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     held = 0
     for top, bot in _profile_chunks(m, n):
-        top, bot = top.T, bot.T
         area = (top - bot).sum(axis=0, dtype=np.int64)
         parts.append(np.unique(area * W + _bounce_weights(top, bot), return_counts=True))
         held += parts[-1][0].size
@@ -468,32 +468,16 @@ def ribbon_swap_inv(poly: ParaPolyomino) -> ParaPolyomino:
     if not poly.is_ribbon():
         raise NotInDomain("inverse swap needs a ribbon")
     runs = poly.bounce_seq()
-    souths = runs[0::2]
-    wests = runs[1::2]
-    left: list[int] = []
-    for val, mult in enumerate(wests, start=1):
-        left.extend([val] * mult)
-    right: list[int] = []
-    for val, mult in enumerate(souths, start=1):
-        right.extend([val] * mult)
-    right.reverse()
-    d = tuple(left) + tuple(right)
-    # profile reconstruction: before the peak a strict rise is an N step,
-    # after it equality is an N step
-    word = ["N"]
-    for i in range(2, m + 1):
-        word.append("N" if d[i - 2] < d[i - 1] else "E")
-    for i in range(m + 1, m + n + 1):
-        nxt = d[i - 1] if i - 1 < len(d) else 0
-        word.append("N" if d[i - 2] == nxt else "E")
-    y = 0
-    top = []
-    for ch in word:
-        if ch == "N":
-            y += 1
-        else:
-            top.append(y)
-    out = ParaPolyomino(m, n, tuple(top), (0,) * m)
+    left = [val for val, mult in enumerate(runs[1::2], start=1) for _ in range(mult)]
+    right = [val for val, mult in enumerate(runs[0::2], start=1) for _ in range(mult)]
+    d = (*left, *reversed(right))
+    # the upper path from the profile steps: before the peak a strict rise
+    # is an N step, after it (d continued by a 0) equality is an N step
+    e = (*d, 0)
+    rises = (e[k - 1] < e[k] for k in range(1, m))
+    levels = (e[k - 1] == e[k] for k in range(m, m + n))
+    upper = "N" + "".join("N" if step else "E" for step in (*rises, *levels))
+    out = ParaPolyomino(m, n, _word_to_profile(upper), (0,) * m)
     if out.diaglen() != d:  # pragma: no cover - construction proof
         raise NotInDomain("profile reconstruction failed")
     return out

@@ -45,6 +45,7 @@ from .polyomino import (
     count_para,
     ebounce,
     obounce,
+    profiles_from_heights,
     _iter_profiles,
 )
 
@@ -299,13 +300,15 @@ def inc_decomp(config: BipartiteConfig) -> tuple[BipartiteConfig, tuple[int, ...
 # -- polyomino correspondence ----------------------------------------------------
 
 
+def _sorted_heights(config: BipartiteConfig) -> HeightSeqs:
+    """The height sequences (a | b): each block sorted weakly increasing."""
+    return HeightSeqs(config.m, config.n, tuple(sorted(config.top)), tuple(sorted(config.bottom)))
+
+
 def cell_image(config: BipartiteConfig) -> CellSet:
     """Cell diagram of the sorted heights: column i truncated to height
     1 + a_i, row j to width 1 + b_j, where (a | b) are the sorted blocks."""
-    m, n = config.m, config.n
-    a = tuple(sorted(config.top))
-    b = tuple(sorted(config.bottom))
-    return cells_from_heights(HeightSeqs(m, n, a, b))
+    return cells_from_heights(_sorted_heights(config))
 
 
 def config_of_para(poly: ParaPolyomino) -> BipartiteConfig:
@@ -356,8 +359,7 @@ def decorate(config: BipartiteConfig) -> DecoratedPolyomino:
     """Map a recurrent configuration to its decorated polyomino: the cell
     image plus the top/bottom wave sets of the canonical toppling."""
     trace = _require_recurrent(config).trace
-    poly = cell_image(config).as_para()
-    assert poly is not None  # guaranteed for recurrent configurations
+    poly = ParaPolyomino(config.m, config.n, *profiles_from_heights(_sorted_heights(config)))
     return DecoratedPolyomino(poly, trace.top_waves(), trace.bottom_waves())
 
 

@@ -11,11 +11,21 @@ that shares nothing with them:
 * `profiles_by_column_scan` reads a cell set column by column, rescanning the
   whole set for each column;
 * `heights_of_matrix` evaluates the height formula of `config_of_matrix` with
-  union sizes recomputed from the matrix cells for every term.
+  union sizes recomputed from the matrix cells for every term;
+* `sorted_cell_profiles` fills the cell image of a configuration cell by
+  cell from its sorted heights, the polyomino `decorate` attaches the waves
+  to;
+* `kn_diag_profiles`, `kn_dyck_word` and `kn_heights_of_dyck` are the
+  complete-graph diagram by a cell loop, its Dyck path by a loop over the
+  lower profile, and the inverse by a scan for the right end of each row.
+
+The complete-graph references raise the exception types of the library maps
+on inputs outside their domains.
 """
 
 from __future__ import annotations
 
+from sandnara.errors import NotRecurrent, NotSorted
 from sandnara.polyomino import _profiles_valid
 
 
@@ -111,3 +121,71 @@ def heights_of_matrix(rows) -> tuple[int, ...]:
         for x in row(i):
             heights[x - 1] = n - sum(len(col(a)) for a in range(i + 1))
     return tuple(heights)
+
+
+def sorted_cell_profiles(m: int, n: int, heights) -> tuple | None:
+    """Profiles of the cell image of a configuration, or None: with a and b
+    the sorted top and bottom heights and a_m = n - 1, cell (i, j) is in
+    the image when j <= 1 + a_i and i <= 1 + b_j."""
+    a = sorted(heights[: m - 1]) + [n - 1]
+    b = sorted(heights[m - 1 :])
+    cells = {
+        (i, j)
+        for i in range(1, m + 1)
+        for j in range(1, n + 1)
+        if j <= 1 + a[i - 1] and i <= 1 + b[j - 1]
+    }
+    return profiles_by_column_scan(m, n, cells)
+
+
+def _kn_sorted_recurrent(n: int, x) -> None:
+    if any(u < v for u, v in zip(x, x[1:])):
+        raise NotSorted(f"{x} is not weakly decreasing")
+    complement = sorted(n - 1 - v for v in x)
+    if any(v > n - 2 for v in x) or any(c > i for i, c in enumerate(complement, start=1)):
+        raise NotRecurrent(f"{x} is not recurrent")
+
+
+def kn_diag_profiles(n: int, x) -> tuple:
+    """Profiles of the diagram of a sorted recurrent state of K_n: row j
+    spans columns j .. 2 + x_{n-j}."""
+    _kn_sorted_recurrent(n, x)
+    cells = set()
+    for j in range(1, n):
+        for c in range(j, 2 + x[n - j - 1] + 1):
+            cells.add((c, j))
+    return profiles_by_column_scan(n, n - 1, cells)
+
+
+def kn_dyck_word(m: int, n: int, top, bot) -> str:
+    """Dyck word of a complete-graph diagram: its lower path from (n, n-1)
+    back to (1, 0), N read as S and E as W."""
+    if m != n + 1 or tuple(top) != tuple(range(1, m)) + (n,):
+        raise NotSorted("not the diagram of a sorted recurrent state")
+    word = []
+    prev = 0
+    for h in bot:
+        word.append("N" * (h - prev) + "E")
+        prev = h
+    word.append("N" * (n - prev))
+    flat = "".join(word)[1:]  # drop the initial E from (0,0) to (1,0)
+    return "".join("S" if ch == "N" else "W" for ch in reversed(flat))
+
+
+def kn_heights_of_dyck(word: str) -> tuple:
+    """The sorted recurrent state whose diagram has the Dyck word `word`:
+    x_{n-j} + 2 is the rightmost column whose lower path lies below row j."""
+    n = len(word) // 2 + 1
+    if n < 2:
+        raise ValueError("need n >= 2")
+    bot = []
+    y = 0
+    for ch in "E" + "".join("N" if ch == "S" else "E" for ch in reversed(word)):
+        if ch == "N":
+            y += 1
+        else:
+            bot.append(y)
+    x = [max(c + 1 for c in range(n) if bot[c] < j) - 2 for j in range(1, n)]
+    x.reverse()
+    _kn_sorted_recurrent(n, x)
+    return tuple(x)

@@ -115,7 +115,7 @@ def test_main_runs_every_workload_into_one_file(tmp_path):
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main([
         "--parent", str(parent), "--change", str(change), "--workload", "enum", "series",
-        "--seeds", "1-2", "--pairs", "3", "--trace-seed", "9", "--claim", "enum", "wall_s",
+        "--seeds", "1-3", "--trace-seed", "9", "--claim", "enum", "wall_s",
         "--out", str(out),
     ]) == 0
     doc = json.loads(out.read_text())
@@ -123,10 +123,10 @@ def test_main_runs_every_workload_into_one_file(tmp_path):
     assert "--seconds 3 " in doc["command"] and doc["runs_not_completed"] == []
     for name, w in doc["workloads"].items():
         assert [(p["seed"], p["first"]) for p in w["pairs"]] == [
-            (1, "parent"), (2, "change"), (1, "parent")]
+            (1, "parent"), (2, "change"), (3, "parent")]
         assert {p[side]["workload"] for p in w["pairs"] for side in ("parent", "change")} == {name}
         assert {p["parent"]["seconds"] for p in w["pairs"]} == {"3"}
-        assert w["seeds"] == [1, 2] and w["checks"]["attempted_change"] == 6
+        assert w["seeds"] == [1, 2, 3] and w["checks"]["attempted_change"] == 6
         assert w["summary"]["wall_s"]["verdict"] == "better in every run"
         assert doc[f"traced_{name}"]["calls_identical"]
     assert doc["claim"]["workload"] == "enum" and doc["claim"]["met"]

@@ -205,6 +205,14 @@ class TestMatrixCorrespondence:
             BicompMatrix.from_lists(rows)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("entry", [True, 1.0])
+    def test_bool_and_float_entries_are_invalid(self, entry):
+        # True and 1.0 compare equal to 1, so only a type check tells them apart
+        with pytest.raises(InvalidMatrix, match=r"^entries must partition \{1\.\.N\}$"):
+            BicompMatrix.from_lists([[{entry}]])
+        with pytest.raises(InvalidMatrix, match="partition"):
+            BicompMatrix.from_lists([[{entry, 2}, set()], [set(), {3}]])
+
     def test_non_int_entry_is_invalid_under_any_hash_seed(self):
         # a str among the entries fails the partition check as InvalidMatrix;
         # the outcome must not depend on the set iteration order

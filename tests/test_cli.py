@@ -256,6 +256,32 @@ class TestPoly:
         assert exc.value.code == 2
         assert "argument --order: must be an integer >= 0" in capsys.readouterr().err
 
+    def test_series_default_order(self, capsys):
+        data = run_json(capsys, "poly", "--series", "F2")
+        assert data["order"] == 8 and len(data["coefficients"]) == 9
+
+    @pytest.mark.parametrize(
+        "extra,named",
+        [
+            (["--format", "csv"], "--format csv"),
+            (["--m", "3"], "--m"),
+            (["--n", "3"], "--n"),
+            (["--method", "transfer"], "--method transfer"),
+            (["--max-objects", "10"], "--max-objects"),
+        ],
+    )
+    def test_series_rejects_ignored_option_exit_2(self, capsys, extra, named):
+        code, out, err = run(capsys, "poly", "--series", "F2", *extra)
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert error["detail"] == f"poly --series does not take {named}"
+
+    def test_order_without_series_exit_2(self, capsys):
+        code, out, err = run(capsys, "poly", "--m", "2", "--n", "2", "--order", "3")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ValueError", "detail": "poly --order needs --series"}
+
     @pytest.mark.parametrize("m,n", [("6", "300"), ("100", "10")])
     def test_transfer_cost_limit_exit_3(self, capsys, monkeypatch, m, n):
         monkeypatch.delenv("SANDPILE_MAX_OBJECTS", raising=False)

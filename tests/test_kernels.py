@@ -1,17 +1,33 @@
-"""The per-object sandpile kernels against reference transcriptions of their
-definitions (tests/sandpile_oracles.py), drawn at random sizes 1 <= m, n <= 12."""
+"""The per-object sandpile kernels and polyomino conversions against
+reference transcriptions of their definitions (tests/sandpile_oracles.py):
+exhaustively on small boxes, and drawn at random sizes up to 12."""
 
+import itertools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sandnara.classes import BicompMatrix, config_of_matrix, matrix_of_config
-from sandnara.polyomino import CellSet, HeightSeqs, ParaPolyomino, cells_from_heights
-from sandnara.sandpile import BipartiteConfig, burn, cell_image, stabilize
+from sandnara.errors import NotRecurrent, SandnaraError
+from sandnara.kn import DyckPath, KnConfig, diag, diag_from_dyck, dyck_of, enumerate_dyck
+from sandnara.polyomino import (
+    CellSet,
+    HeightSeqs,
+    ParaPolyomino,
+    cells_from_heights,
+    enumerate_para,
+)
+from sandnara.sandpile import BipartiteConfig, burn, cell_image, decorate, stabilize
 
 from sandpile_oracles import (
     burn_waves,
     heights_of_matrix,
+    kn_diag_profiles,
+    kn_dyck_word,
+    kn_heights_of_dyck,
     profiles_by_column_scan,
+    sorted_cell_profiles,
     stabilize_sweeps,
 )
 
@@ -118,3 +134,123 @@ class TestAgainstOracles:
         cfg = config_of_matrix(mat)
         assert cfg.heights == heights_of_matrix(mat.rows)
         assert matrix_of_config(cfg) == mat
+
+
+# -- conversions between polyomino representations ---------------------------
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the error it raises."""
+    try:
+        return f(*args)
+    except (SandnaraError, ValueError) as exc:
+        return type(exc)
+
+
+def _decorated(cfg):
+    dec = decorate(cfg)
+    return (dec.poly.top, dec.poly.bot), dec.A, dec.B
+
+
+def _decorated_by_oracles(cfg):
+    recurrent, waves = burn_waves(cfg.m, cfg.n, cfg.heights)
+    if not recurrent:
+        raise NotRecurrent("not recurrent")
+    return (
+        sorted_cell_profiles(cfg.m, cfg.n, cfg.heights),
+        tuple(s for side, s in waves if side == "top"),
+        tuple(s for side, s in waves if side == "bottom"),
+    )
+
+
+def check_decorate(cfg):
+    assert _outcome(_decorated, cfg) == _outcome(_decorated_by_oracles, cfg)
+    poly = cell_image(cfg).as_para()
+    got = None if poly is None else (poly.top, poly.bot)
+    assert got == sorted_cell_profiles(cfg.m, cfg.n, cfg.heights)
+
+
+def _diag_profiles(n, x):
+    poly = diag(KnConfig(n, x))
+    return poly.top, poly.bot
+
+
+def check_kn_diag(n, x):
+    want = _outcome(kn_diag_profiles, n, x)
+    assert _outcome(_diag_profiles, n, x) == want
+    if not isinstance(want, type):
+        poly = ParaPolyomino(n, n - 1, *want)
+        assert dyck_of(poly).word == kn_dyck_word(n, n - 1, *want)
+
+
+def check_diag_from_dyck(word):
+    want = _outcome(kn_heights_of_dyck, word)
+    got = _outcome(lambda: diag_from_dyck(DyckPath(word)).heights)
+    assert got == want
+
+
+@st.composite
+def kn_states(draw):
+    """Heights in [0, n-1] on K_n, 2 <= n <= 12: half sorted, and half of
+    those pushed up to the recurrent minimum x_i >= n-1-i."""
+    n = draw(st.integers(2, 12))
+    x = draw(st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1))
+    if draw(st.booleans()):
+        x.sort(reverse=True)
+        if draw(st.booleans()):
+            x = [min(n - 2, max(v, n - 2 - i)) for i, v in enumerate(x)]
+    return n, tuple(x)
+
+
+@st.composite
+def dyck_words(draw):
+    """A Dyck word of semi-length 0..11, one free step choice per draw."""
+    k = draw(st.integers(0, 11))
+    word, s, w = [], 0, 0
+    while w < k:
+        south = s < k and (w == s or draw(st.booleans()))
+        word.append("S" if south else "W")
+        s, w = s + south, w + (not south)
+    return "".join(word)
+
+
+class TestConversionsAgainstOracles:
+    def test_decorate_and_cell_image_exhaustive(self):
+        for s in range(2, 7):
+            for m in range(1, s):
+                n = s - m
+                for t in itertools.product(range(n), repeat=m - 1):
+                    for b in itertools.product(range(m), repeat=n):
+                        check_decorate(BipartiteConfig(m, n, t + b))
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_kn_diag_exhaustive(self, n):
+        for x in itertools.product(range(n), repeat=n - 1):
+            check_kn_diag(n, x)
+
+    def test_dyck_of_rejects_non_diagrams(self):
+        for m in range(2, 6):
+            for poly in enumerate_para(m, m - 1):
+                want = _outcome(kn_dyck_word, m, m - 1, poly.top, poly.bot)
+                got = _outcome(lambda: dyck_of(poly).word)
+                assert got == want
+
+    def test_diag_from_dyck_exhaustive(self):
+        for k in range(7):
+            for path in enumerate_dyck(k):
+                check_diag_from_dyck(path.word)
+
+    @DIFFERENTIAL
+    @given(stable_states())
+    def test_decorate(self, cfg):
+        check_decorate(cfg)
+
+    @DIFFERENTIAL
+    @given(kn_states())
+    def test_kn_diag(self, state):
+        check_kn_diag(*state)
+
+    @DIFFERENTIAL
+    @given(dyck_words())
+    def test_diag_from_dyck(self, word):
+        check_diag_from_dyck(word)

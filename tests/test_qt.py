@@ -66,8 +66,8 @@ class TestNarayanaPoly:
         pairs = list(polyomino._iter_profiles(m, n))
         monkeypatch.setattr(polyomino, "_CHUNK_ROWS", 7)
         chunks = list(polyomino._profile_chunks(m, n))
-        assert all(len(top) <= 7 for top, _ in chunks)
-        tops = [(top[0].tolist(), top[-1].tolist()) for top, _ in chunks]
+        assert all(top.shape[1] <= 7 for top, _ in chunks)
+        tops = [(top[:, 0].tolist(), top[:, -1].tolist()) for top, _ in chunks]
         split = [a[1] == b[0] for a, b in zip(tops, tops[1:])]
         assert any(split) or m == 1
         assert list(polyomino._iter_profiles(m, n)) == pairs

@@ -3,7 +3,7 @@
 Usage, from anywhere:
 
     python3 tools/bench_pairs.py --parent DIR --change DIR \
-        --workload enum [series queries ...] --seeds 12-21 [--pairs N] \
+        --workload enum [series queries ...] --seeds 12-21 \
         [--trace-seed N] [--claim enum wall_s] [--parent-commit SHA] \
         [--change-commit SHA] --out BENCH_7.json
 
@@ -14,11 +14,10 @@ BENCHMARK.json declares, unmodified, for its declared run length T
 
     <command> --workload W --seed S --seconds T --trace 0
 
-The workloads run one after the other, each with the same seeds and number
-of pairs.  A pair is one run of each side on the same seed, back to back;
-the parent goes first in even-numbered pairs and the change in odd-numbered
-ones, so slow drift of the host falls on both sides alike.  Pair i uses seed
-seeds[i % len(seeds)].  With --trace-seed, one traced run per side
+The workloads run one after the other, each with one pair per seed.  A pair
+is one run of each side on the same seed, back to back; the parent goes
+first in even-numbered pairs and the change in odd-numbered ones, so slow
+drift of the host falls on both sides alike.  With --trace-seed, one traced run per side
 (--trace 1) follows each workload's pairs, and its per-layer metrics are
 compared.
 
@@ -187,12 +186,11 @@ def machine(tree: Path, workload: str, seed: int, trace: int) -> dict | None:
 
 
 def run_pairs(trees: dict[str, Path], command: list[str], seconds: float, workload: str,
-              seeds: list[int], n_pairs: int, not_completed: list[str]) -> list[dict]:
-    """`n_pairs` alternating pairs of untraced runs of one workload; a pair
+              seeds: list[int], not_completed: list[str]) -> list[dict]:
+    """One alternating pair of untraced runs of one workload per seed; a pair
     with a side that gave no result is left out and noted in `not_completed`."""
     pairs: list[dict] = []
-    for i in range(n_pairs):
-        seed = seeds[i % len(seeds)]
+    for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
@@ -216,7 +214,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="exported change tree")
     parser.add_argument("--workload", nargs="+", required=True, help="one or more workloads")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 12-21 or 3,5,8")
-    parser.add_argument("--pairs", type=int, help="pairs per workload (default: one per seed)")
     parser.add_argument("--trace-seed", type=int, help="add one traced run per side and workload")
     parser.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "METRIC"),
                         help="end-to-end metric of a workload whose claim rule to check")
@@ -232,7 +229,6 @@ def main(argv: list[str] | None = None) -> int:
                        or args.claim[1] not in {m["name"] for m in metrics}):
         parser.error(f"--claim {' '.join(args.claim)}: needs a workload given to --workload "
                      "and an end-to-end metric")
-    n_pairs = args.pairs or len(args.seeds)
 
     doc = {
         "what": WHAT,
@@ -247,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         "runs_not_completed": [],
     }
     for workload in args.workload:
-        pairs = run_pairs(trees, command, seconds, workload, args.seeds, n_pairs,
+        pairs = run_pairs(trees, command, seconds, workload, args.seeds,
                           doc["runs_not_completed"])
         if not pairs:
             continue
