@@ -228,7 +228,7 @@ class TestConversionsAgainstOracles:
         for x in itertools.product(range(n), repeat=n - 1):
             check_kn_diag(n, x)
 
-    def test_dyck_of_rejects_non_diagrams(self):
+    def test_dyck_of_exhaustive(self):
         for m in range(2, 6):
             for poly in enumerate_para(m, m - 1):
                 want = _outcome(kn_dyck_word, m, m - 1, poly.top, poly.bot)
