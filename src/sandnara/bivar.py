@@ -1,10 +1,22 @@
-"""Exact sparse bivariate polynomials in q and t.
+"""Exact bivariate polynomials in q and t.
 
-Coefficients are Python integers, so precision is unbounded.  Terms map
-(q-degree, t-degree) to a non-zero coefficient; zero coefficients are never
-stored.  Serialization orders terms by q-degree then t-degree, and the
-matrix form factors out the minimal degrees as a (qt)^k-style shift so small
-polynomials print the way the reference tables are written.
+Coefficients are exact integers, so precision is unbounded.  A value is held
+in one of two ways:
+
+* a dict of terms mapping (q-degree, t-degree) to a non-zero Python int,
+  as the public constructor and all arithmetic build it;
+* a dense block (a0, w0, arr), arr[i, j] being the coefficient of
+  q^(a0+i) t^(w0+j), as the routes of `qt` hand it over.  The block is
+  trimmed to the bounding box of its non-zero cells, so equal values have
+  equal blocks; it is a read-only copy owned by the value.  Its dict of
+  terms is built on first use, in the row-major order of the block.
+
+Equality of two block-backed values, q<->t symmetry, length and
+`qt.poly_to_array` read the block; everything else reads the dict, so both
+backings behave alike.  Serialization orders terms by q-degree then
+t-degree, and the matrix form factors out the minimal degrees as a
+(qt)^k-style shift so small polynomials print the way the reference tables
+are written.
 """
 
 from __future__ import annotations
@@ -12,13 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
 Term = tuple[int, int]
 
 
 class BivarPoly:
-    """Immutable sparse polynomial in q, t with integer coefficients."""
+    """Immutable polynomial in q, t with integer coefficients."""
 
-    __slots__ = ("_terms",)
+    # _dict: the terms, or None until a block-backed value first needs them;
+    # _block: (a0, w0, arr) for a block-backed value, else None
+    __slots__ = ("_dict", "_block")
 
     def __init__(self, terms: Mapping[Term, int] | Iterable[tuple[Term, int]] = ()):
         if isinstance(terms, Mapping):
@@ -34,7 +50,8 @@ class BivarPoly:
                 clean[key] = clean.get(key, 0) + c
                 if not clean[key]:
                     del clean[key]
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_dict", clean)
+        object.__setattr__(self, "_block", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("BivarPoly is immutable")
@@ -50,12 +67,38 @@ class BivarPoly:
         return cls({(dq, dt): coeff})
 
     @classmethod
-    def _trusted(cls, terms: dict[Term, int]) -> "BivarPoly":
-        """Take ownership of a dict that already holds only non-zero Python
-        int coefficients at non-negative exponents, without cleaning it again."""
+    def _from_block(cls, a0: int, w0: int, arr: np.ndarray) -> "BivarPoly":
+        """The polynomial sum arr[i, j] q^(a0+i) t^(w0+j) of a 2-D integer
+        array (int64 or object dtype holding Python ints).
+
+        The block is trimmed to the bounding box of its non-zero cells and
+        copied, read-only, so later writes to `arr` do not reach the value.
+        A zero block is stored as an empty block at offset (0, 0).
+        """
+        rows = np.flatnonzero(arr.any(axis=1))
+        cols = np.flatnonzero(arr.any(axis=0))
+        if rows.size:
+            a0, w0 = a0 + int(rows[0]), w0 + int(cols[0])
+            if a0 < 0 or w0 < 0:
+                raise ValueError("exponents must be non-negative")
+            arr = arr[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1].copy()
+        else:
+            a0, w0, arr = 0, 0, np.zeros((0, 0), dtype=arr.dtype)
+        arr.flags.writeable = False
         self = object.__new__(cls)
-        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_dict", None)
+        object.__setattr__(self, "_block", (a0, w0, arr))
         return self
+
+    @property
+    def _terms(self) -> dict[Term, int]:
+        terms = self._dict
+        if terms is None:
+            a0, w0, arr = self._block
+            i, j = np.nonzero(arr)
+            terms = dict(zip(zip((i + a0).tolist(), (j + w0).tolist()), arr[i, j].tolist()))
+            object.__setattr__(self, "_dict", terms)
+        return terms
 
     # -- views ------------------------------------------------------------
 
@@ -67,22 +110,29 @@ class BivarPoly:
         return self._terms.get((dq, dt), 0)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self)
 
     def __len__(self) -> int:
+        if self._block is not None:
+            return int(np.count_nonzero(self._block[2]))
         return len(self._terms)
 
     def min_degrees(self) -> Term:
-        if not self._terms:
+        if self.is_zero():
             return (0, 0)
+        if self._block is not None:
+            return self._block[:2]
         return (
             min(k[0] for k in self._terms),
             min(k[1] for k in self._terms),
         )
 
     def max_degrees(self) -> Term:
-        if not self._terms:
+        if self.is_zero():
             return (0, 0)
+        if self._block is not None:
+            a0, w0, arr = self._block
+            return (a0 + arr.shape[0] - 1, w0 + arr.shape[1] - 1)
         return (
             max(k[0] for k in self._terms),
             max(k[1] for k in self._terms),
@@ -127,6 +177,9 @@ class BivarPoly:
 
     def swap_qt(self) -> "BivarPoly":
         """Transpose exponent pairs: q^a t^b -> q^b t^a."""
+        if self._block is not None:
+            a0, w0, arr = self._block
+            return BivarPoly._from_block(w0, a0, arr.T)
         return BivarPoly({(b, a): c for (a, b), c in self._terms.items()})
 
     def substitute_powers(self, q_pow: int = 1, t_pow: int = 1) -> "BivarPoly":
@@ -138,6 +191,9 @@ class BivarPoly:
         )
 
     def is_qt_symmetric(self) -> bool:
+        if self._block is not None:
+            a0, w0, arr = self._block
+            return a0 == w0 and np.array_equal(arr, arr.T)
         return all(self._terms.get((b, a)) == c for (a, b), c in self._terms.items())
 
     # -- serialization ---------------------------------------------------------
@@ -184,7 +240,13 @@ class BivarPoly:
     # -- dunder plumbing ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BivarPoly) and self._terms == other._terms
+        if not isinstance(other, BivarPoly):
+            return False
+        if self._block is not None and other._block is not None:
+            # trimmed blocks: equal values have equal offsets and cells
+            (a0, w0, a), (b0, v0, b) = self._block, other._block
+            return a0 == b0 and w0 == v0 and np.array_equal(a, b)
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))

@@ -13,11 +13,14 @@ it here:
 * `rational_qt_series` expands the tabulated rational closed forms.
 
 The two routes that do not enumerate hold their coefficients as dense 2-D
-blocks with a degree offset and convert to `BivarPoly` only on output.  Each
-uses int64 only under a proven coefficient bound, stated in its docstring,
-and object dtype (Python ints) otherwise.  The transfer sweep is guarded by
-an up-front estimate of the memory it and its output hold, in 8-byte cells,
-checked against the object cap.
+blocks with a degree offset.  Each uses int64 only under a proven
+coefficient bound, stated in its docstring, and object dtype (Python ints)
+otherwise.  The transfer sweep is guarded by an up-front estimate of the
+memory it and its output hold, in 8-byte cells, checked against the object
+cap.  All three routes hand their result to `BivarPoly` as such a block
+(`narayana_poly` scatters its histogram into one), so equality, the q<->t
+symmetry test and `poly_to_array` read the block, and a term dict is built
+only when a caller asks for the terms.
 
 Their agreement wherever two of them are feasible is the backbone of the
 verification suite.  The batch bounce weight is tested against the
@@ -119,7 +122,12 @@ def narayana_poly(m: int, n: int, max_objects: int | None = None) -> BivarPoly:
             parts, held = [_sum_counts(parts)], 0
     keys, counts = _sum_counts(parts)
     area, weight = np.divmod(keys, W)
-    return BivarPoly._trusted(dict(zip(zip(area.tolist(), weight.tolist()), counts.tolist())))
+    # keys are sorted, so area[0] and area[-1] bound the areas; the block
+    # has fewer cells than the key range area[0] * W .. area[-1] * W + W
+    a0, w0 = int(area[0]), int(weight.min())
+    block = np.zeros((int(area[-1]) - a0 + 1, int(weight.max()) - w0 + 1), dtype=np.int64)
+    block[area - a0, weight - w0] = counts
+    return BivarPoly._from_block(a0, w0, block)
 
 
 # -- symmetry checks ------------------------------------------------------------
@@ -134,15 +142,20 @@ def _first_difference(p: BivarPoly, q: BivarPoly) -> tuple[int, int] | None:
 
 
 def _symmetry_check(name: str, p: BivarPoly, q: BivarPoly) -> Check:
-    bad = _first_difference(p, q)
-    detail = "" if bad is None else f"first offending term {bad}"
-    return Check(name, bad is None, detail)
+    """The check that p equals q; the first differing term is looked up
+    only when they differ."""
+    if p == q:
+        return Check(name, True)
+    return Check(name, False, f"first offending term {_first_difference(p, q)}")
 
 
 def check_qt_symmetry(m: int, n: int, max_objects: int | None = None) -> Check:
     """Compare F_{m,n}(q,t) with F_{m,n}(t,q)."""
     p = narayana_poly(m, n, max_objects)
-    return _symmetry_check(f"qt-symmetry {m},{n}", p, p.swap_qt())
+    name = f"qt-symmetry {m},{n}"
+    if p.is_qt_symmetric():
+        return Check(name, True)
+    return _symmetry_check(name, p, p.swap_qt())
 
 
 def check_mn_symmetry(m: int, n: int, max_objects: int | None = None) -> Check:
@@ -156,10 +169,10 @@ def check_mn_symmetry(m: int, n: int, max_objects: int | None = None) -> Check:
 #
 # The two routes that do not enumerate hold every polynomial as a block
 # (a0, w0, arr): arr[i, j] is the coefficient of q^(a0+i) t^(w0+j).  Blocks
-# are combined by slice-adds over their bounding box and become `BivarPoly`
-# values only on output.  A route picks int64 only when a proven bound on
-# every coefficient and every partial sum fits it, and object dtype (Python
-# ints) otherwise, so nothing wraps.
+# are combined by slice-adds over their bounding box, and each output block
+# becomes a block-backed `BivarPoly`.  A route picks int64 only when a proven
+# bound on every coefficient and every partial sum fits it, and object dtype
+# (Python ints) otherwise, so nothing wraps.
 
 Block = tuple[int, int, np.ndarray]
 
@@ -185,14 +198,7 @@ def _sum_blocks(parts: Sequence[Block], dtype: type) -> Block:
 
 
 def _block_poly(block: Block | None) -> BivarPoly:
-    if block is None:
-        return BivarPoly.zero()
-    a0, w0, arr = block
-    i, j = np.nonzero(arr)
-    qe, te = i + a0, j + w0
-    if i.size and min(qe.min(), te.min()) < 0:
-        raise ValueError("exponents must be non-negative")
-    return BivarPoly._trusted(dict(zip(zip(qe.tolist(), te.tolist()), arr[i, j].tolist())))
+    return BivarPoly.zero() if block is None else BivarPoly._from_block(*block)
 
 
 # -- rational closed forms -----------------------------------------------------------
@@ -509,9 +515,17 @@ def narayana_m2_array(n: int, size: int | None = None) -> np.ndarray:
 
 
 def poly_to_array(poly: BivarPoly, size: int) -> np.ndarray:
+    """Square int64 array A[a, w] of side `size` holding the coefficient of
+    q^a t^w; ValueError when an exponent does not fit."""
+    if not poly.is_zero() and max(poly.max_degrees()) >= size:
+        raise ValueError("array too small for the exponent range")
     out = np.zeros((size, size), dtype=np.int64)
-    for (a, b), c in poly.terms.items():
-        out[a, b] = c
+    if poly._block is not None:
+        a0, w0, arr = poly._block
+        out[a0 : a0 + arr.shape[0], w0 : w0 + arr.shape[1]] = arr
+    else:
+        for (a, b), c in poly.terms.items():
+            out[a, b] = c
     return out
 
 

@@ -88,8 +88,11 @@ def test_compare_traced_layer_missing_from_change():
 
 
 FAKE_RUN = '''
-import json, sys
+import json, os, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+with open("../runs.log", "a") as log:  # shared by both trees, in run order
+    log.write(" ".join((os.path.basename(os.getcwd()), args["--workload"], args["--seed"],
+                        args["--trace"])) + "\\n")
 wall = float(open("wall.txt").read()) + int(args["--seed"]) / 1000
 metrics = {"wall_s": {"value": wall}}
 if args["--trace"] == "1":
@@ -130,3 +133,10 @@ def test_main_runs_every_workload_into_one_file(tmp_path):
         assert w["summary"]["wall_s"]["verdict"] == "better in every run"
         assert doc[f"traced_{name}"]["calls_identical"]
     assert doc["claim"]["workload"] == "enum" and doc["claim"]["met"]
+    # round-robin: pair i of every workload before pair i + 1, then the
+    # traced runs; the parent ("p") first in even-numbered pairs
+    order = [line.split() for line in (tmp_path / "runs.log").read_text().splitlines()]
+    pair_runs = [(side, w, seed) for seed, sides in (("1", "pc"), ("2", "cp"), ("3", "pc"))
+                 for w in ("enum", "series") for side in sides]
+    assert order == [[side, w, seed, "0"] for side, w, seed in pair_runs] + [
+        [side, w, "9", "1"] for w in ("enum", "series") for side in "pc"]

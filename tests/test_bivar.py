@@ -1,10 +1,12 @@
 """Exact polynomial arithmetic and serialization."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sandnara.bivar import BivarPoly, QtSeries
+from sandnara.qt import poly_to_array
 
 polys = st.dictionaries(
     st.tuples(st.integers(0, 6), st.integers(0, 6)),
@@ -102,3 +104,122 @@ def test_eval_is_ring_hom(p, q, x, y):
 def test_json_round_trips(p):
     assert BivarPoly.from_sparse_json(p.to_sparse_json()) == p
     assert BivarPoly.from_matrix_json(p.to_matrix_json()) == p
+
+
+# -- block-backed values against the dict constructor ---------------------------
+
+
+@st.composite
+def blocks(draw):
+    """(a0, w0, arr): an int64 or object-dtype block, the latter with
+    coefficients beyond int64, with zero margins that may sit at negative
+    offsets; every non-zero cell lands at a non-negative exponent."""
+    big = draw(st.booleans())
+    coeffs = st.integers(-(2**70), 2**70) if big else st.integers(-50, 50)
+    h, w = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    cells = draw(st.lists(st.one_of(st.just(0), coeffs), min_size=h * w, max_size=h * w))
+    top, left, bottom, right = (draw(st.integers(0, 2)) for _ in range(4))
+    dtype = object if big else np.int64
+    arr = np.zeros((top + h + bottom, left + w + right), dtype=dtype)
+    arr[top : top + h, left : left + w] = np.array(cells, dtype=dtype).reshape(h, w)
+    return draw(st.integers(0, 3)) - top, draw(st.integers(0, 3)) - left, arr
+
+
+def dict_twin(a0, w0, arr):
+    """The same polynomial through the dict constructor, terms in the
+    row-major order of the block."""
+    return BivarPoly({(a0 + int(i), w0 + int(j)): int(arr[i, j]) for i, j in zip(*np.nonzero(arr))})
+
+
+def array_or_error(poly, size):
+    try:
+        return poly_to_array(poly, size)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(p, q, ordered=True):
+    """p and q agree on every view, with ordered=True the iteration order
+    of the terms included."""
+    assert p == q and q == p
+    assert hash(p) == hash(q)
+    assert repr(p) == repr(q)
+    assert len(p) == len(q)
+    assert p.sorted_terms() == q.sorted_terms()
+    if ordered:
+        assert list(p.terms.items()) == list(q.terms.items())
+    assert p.is_qt_symmetric() == q.is_qt_symmetric()
+    assert (p.min_degrees(), p.max_degrees()) == (q.min_degrees(), q.max_degrees())
+
+
+BLOCKS = settings(max_examples=150, derandomize=True, deadline=None)
+
+
+class TestBlockBacked:
+    @BLOCKS
+    @given(blocks())
+    def test_matches_dict_constructor(self, block):
+        p, d = BivarPoly._from_block(*block), dict_twin(*block)
+        assert_same(p, d)
+        # a swapped block lists its terms row by row of the transposed
+        # block, a swapped dict in the order of the dict it came from
+        assert_same(p.swap_qt(), d.swap_qt(), ordered=False)
+        assert p.swap_qt() == d.swap_qt() and d.swap_qt() == p.swap_qt()
+        assert p.swap_qt().swap_qt() == p
+        side = max(p.max_degrees()) + 1
+        for size in (side - 1, side, side + 2):
+            got, want = array_or_error(p, size), array_or_error(d, size)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            else:
+                assert got == want
+
+    @BLOCKS
+    @given(blocks(), blocks())
+    def test_arithmetic_and_equality_across_backings(self, b1, b2):
+        p1, p2 = BivarPoly._from_block(*b1), BivarPoly._from_block(*b2)
+        d1, d2 = dict_twin(*b1), dict_twin(*b2)
+        assert (p1 == p2) == (d1 == d2) == (p1 == d2) == (d1 == p2)
+        for got, want in (
+            (p1 + p2, d1 + d2),
+            (p1 - p2, d1 - d2),
+            (p1 * p2, d1 * d2),
+            (p1 + d2, d1 + d2),
+            (d1 * p2, d1 * d2),
+        ):
+            assert_same(got, want)
+
+    @BLOCKS
+    @given(blocks(), st.integers(0, 2), st.integers(0, 2))
+    def test_offsets_count_in_equality(self, block, dq, dt):
+        a0, w0, arr = block
+        p, moved = BivarPoly._from_block(*block), BivarPoly._from_block(a0 + dq, w0 + dt, arr)
+        d, d_moved = dict_twin(*block), dict_twin(a0 + dq, w0 + dt, arr)
+        assert (p == moved) == (d == d_moved) == (not len(d) or (dq, dt) == (0, 0))
+        # a block symmetric about its own diagonal, away from the q = t line
+        sym = BivarPoly._from_block(a0 + dq, w0 + dt, arr + arr.T) if arr.shape[0] == arr.shape[1] else p
+        assert sym.is_qt_symmetric() == dict_twin(*sym._block).is_qt_symmetric()
+
+    @BLOCKS
+    @given(blocks())
+    def test_source_array_writes_do_not_reach_the_value(self, block):
+        a0, w0, arr = block
+        p = BivarPoly._from_block(a0, w0, arr)
+        want = dict_twin(a0, w0, arr.copy())
+        arr += 1
+        assert_same(p, want)
+        with pytest.raises(ValueError):
+            p._block[2][...] = 0
+
+    def test_zero_block(self):
+        for arr in (np.zeros((0, 0), dtype=np.int64), np.zeros((3, 2), dtype=object)):
+            p = BivarPoly._from_block(-5, 7, arr)
+            assert_same(p, BivarPoly.zero())
+            assert p.is_zero() and p.is_qt_symmetric() and p.swap_qt() == p
+            assert np.array_equal(poly_to_array(p, 2), np.zeros((2, 2), dtype=np.int64))
+
+    def test_negative_exponent_rejected(self):
+        arr = np.array([[0, 0], [0, 3]])
+        assert BivarPoly._from_block(-1, -1, arr) == BivarPoly.monomial(0, 0, 3)
+        with pytest.raises(ValueError, match="exponents must be non-negative"):
+            BivarPoly._from_block(-2, 0, arr)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sandnara import polyomino, qt
 from sandnara.bivar import BivarPoly
-from sandnara.config import DEFAULT_MAX_OBJECTS
+from sandnara.config import DEFAULT_MAX_OBJECTS, Check
 from sandnara.errors import NotInDomain, ResourceLimit
 from sandnara.polyomino import enumerate_para, narayana_number, para_from_paths
 from sandnara.qt import (
@@ -114,6 +114,17 @@ class TestSymmetryReports:
 
         a = BivarPoly({(1, 2): 1})
         assert _first_difference(a, a.swap_qt()) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "poly",
+        [BivarPoly({(1, 2): 1, (3, 3): 4}), BivarPoly._from_block(1, 2, np.array([[1, 0], [0, 0], [0, 4]]))],
+        ids=["dict", "block"],
+    )
+    def test_failed_check_names_the_term(self, poly):
+        want = Check("qt-symmetry 1,1", False, "first offending term (1, 2)")
+        with mock.patch.object(qt, "narayana_poly", return_value=poly):
+            assert check_qt_symmetry(1, 1) == want
+        assert qt._symmetry_check("qt-symmetry 1,1", poly, poly.swap_qt()) == want
 
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (2, 5), (4, 3)])
     def test_t_to_one_specialization_is_box_symmetric(self, m, n):
@@ -409,6 +420,15 @@ class TestVectorizedTwin:
     def test_array_too_small(self):
         with pytest.raises(ValueError, match="too small"):
             narayana_m2_array(4, 10)
+
+    @pytest.mark.parametrize("size", [0, 5, 8])
+    def test_poly_to_array_too_small(self, size):
+        # F_{2,4} reaches q^8 t^8, so it needs a side of at least 9
+        block = narayana_poly(2, 4)
+        for poly in (block, BivarPoly(block.terms)):
+            with pytest.raises(ValueError, match="array too small for the exponent range"):
+                poly_to_array(poly, size)
+        assert np.array_equal(poly_to_array(block, 11), narayana_m2_array(4))
 
     def test_array_series_matches_generic(self):
         generic = series_of_form(RATIONAL_FORMS["F2"], 12)

@@ -14,12 +14,14 @@ BENCHMARK.json declares, unmodified, for its declared run length T
 
     <command> --workload W --seed S --seconds T --trace 0
 
-The workloads run one after the other, each with one pair per seed.  A pair
-is one run of each side on the same seed, back to back; the parent goes
-first in even-numbered pairs and the change in odd-numbered ones, so slow
-drift of the host falls on both sides alike.  With --trace-seed, one traced run per side
-(--trace 1) follows each workload's pairs, and its per-layer metrics are
-compared.
+Each workload gets one pair per seed.  A pair is one run of each side on
+the same seed, back to back; the parent goes first in even-numbered pairs
+and the change in odd-numbered ones, so slow drift of the host falls on
+both sides alike.  The pairs run round-robin, pair i of every workload
+before pair i + 1 of any, so that drift also spreads over the workloads
+instead of landing on one.  With --trace-seed, one traced run per side
+(--trace 1) and workload follows the last pair, and its per-layer metrics
+are compared.
 
 The output has the layout of the earlier BENCH files: every run's result
 line, per-metric quartiles (statistics.quantiles(n=4, method='inclusive'))
@@ -185,27 +187,23 @@ def machine(tree: Path, workload: str, seed: int, trace: int) -> dict | None:
     return info
 
 
-def run_pairs(trees: dict[str, Path], command: list[str], seconds: float, workload: str,
-              seeds: list[int], not_completed: list[str]) -> list[dict]:
-    """One alternating pair of untraced runs of one workload per seed; a pair
-    with a side that gave no result is left out and noted in `not_completed`."""
-    pairs: list[dict] = []
-    for i, seed in enumerate(seeds):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            result, err = run_once(trees[side], command, workload, seed, seconds, 0)
-            print(f"{workload} pair {i} seed {seed} {side}: "
-                  + (f"wall_s {result['metrics']['wall_s']['value']:.4f}" if result else "no result"),
-                  file=sys.stderr)
-            if result is None or not result.get("metrics"):
-                not_completed.append(
-                    f"{workload} seed {seed}, {side} side: no result line ({err[-200:]})")
-                break
-            pair[side] = result
-        else:
-            pairs.append(pair)
-    return pairs
+def run_pair(trees: dict[str, Path], command: list[str], seconds: float, workload: str,
+             i: int, seed: int, not_completed: list[str]) -> dict | None:
+    """Pair number i of untraced runs of one workload, the parent first when
+    i is even; None when a side gave no result, noted in `not_completed`."""
+    order = SIDES if i % 2 == 0 else SIDES[::-1]
+    pair = {"seed": seed, "first": order[0]}
+    for side in order:
+        result, err = run_once(trees[side], command, workload, seed, seconds, 0)
+        print(f"{workload} pair {i} seed {seed} {side}: "
+              + (f"wall_s {result['metrics']['wall_s']['value']:.4f}" if result else "no result"),
+              file=sys.stderr)
+        if result is None or not result.get("metrics"):
+            not_completed.append(
+                f"{workload} seed {seed}, {side} side: no result line ({err[-200:]})")
+            return None
+        pair[side] = result
+    return pair
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -242,9 +240,13 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
         "runs_not_completed": [],
     }
-    for workload in args.workload:
-        pairs = run_pairs(trees, command, seconds, workload, args.seeds,
-                          doc["runs_not_completed"])
+    pairs_of: dict[str, list[dict]] = {workload: [] for workload in args.workload}
+    for i, seed in enumerate(args.seeds):
+        for workload in args.workload:
+            pair = run_pair(trees, command, seconds, workload, i, seed, doc["runs_not_completed"])
+            if pair is not None:
+                pairs_of[workload].append(pair)
+    for workload, pairs in pairs_of.items():
         if not pairs:
             continue
         if doc["machine"] is None:
