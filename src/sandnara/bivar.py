@@ -1,20 +1,18 @@
 """Exact bivariate polynomials in q and t.
 
 Coefficients are exact integers, so precision is unbounded.  A value is held
-in one of two ways:
+as one dense block (a0, w0, arr), arr[i, j] being the coefficient of
+q^(a0+i) t^(w0+j).  The block is trimmed to the bounding box of its non-zero
+cells, and the zero polynomial is the empty block at (0, 0), so equal values
+have equal offsets and equal cells.  It is a read-only array owned by the
+value.  The routes of `qt` hand their blocks over as they are; the public
+constructor lays its terms into a block.
 
-* a dict of terms mapping (q-degree, t-degree) to a non-zero Python int,
-  as the public constructor and all arithmetic build it;
-* a dense block (a0, w0, arr), arr[i, j] being the coefficient of
-  q^(a0+i) t^(w0+j), as the routes of `qt` hand it over.  The block is
-  trimmed to the bounding box of its non-zero cells, so equal values have
-  equal blocks; it is a read-only copy owned by the value.  Its dict of
-  terms is built on first use, in the row-major order of the block.
-
-Equality of two block-backed values, q<->t symmetry, length and
-`qt.poly_to_array` read the block; everything else reads the dict, so both
-backings behave alike.  Serialization orders terms by q-degree then
-t-degree, and the matrix form factors out the minimal degrees as a
+Arithmetic (+, -, *, integer scaling) runs on object-dtype blocks, whose
+cells are Python ints, so it never wraps.  A route output keeps the dtype
+its proven coefficient bound chose (int64 or object); the two compare and
+hash alike.  Terms are read off the block in row-major order, which is
+sorted order.  The matrix form factors out the minimal degrees as a
 (qt)^k-style shift so small polynomials print the way the reference tables
 are written.
 """
@@ -22,19 +20,49 @@ are written.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 Term = tuple[int, int]
 
+# (a0, w0, arr): arr[i, j] is the coefficient of q^(a0+i) t^(w0+j)
+Block = tuple[int, int, np.ndarray]
+
+
+def _sum_blocks(parts: Sequence[Block], dtype: type) -> Block:
+    """Sum of shifted blocks: one pass for the bounding box, then one
+    slice-add per part."""
+    a0 = min(a for a, _, _ in parts)
+    w0 = min(w for _, w, _ in parts)
+    a1 = max(a + arr.shape[0] for a, _, arr in parts)
+    w1 = max(w + arr.shape[1] for _, w, arr in parts)
+    out = np.zeros((a1 - a0, w1 - w0), dtype=dtype)
+    for a, w, arr in parts:
+        out[a - a0 : a - a0 + arr.shape[0], w - w0 : w - w0 + arr.shape[1]] += arr
+    return a0, w0, out
+
+
+def _trim(a0: int, w0: int, arr: np.ndarray) -> Block:
+    """A read-only copy of the block trimmed to the bounding box of its
+    non-zero cells; a zero block becomes the empty block at (0, 0)."""
+    rows = np.flatnonzero(arr.any(axis=1))
+    cols = np.flatnonzero(arr.any(axis=0))
+    if rows.size:
+        a0, w0 = a0 + int(rows[0]), w0 + int(cols[0])
+        if a0 < 0 or w0 < 0:
+            raise ValueError("exponents must be non-negative")
+        arr = arr[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1].copy()
+    else:
+        a0, w0, arr = 0, 0, np.zeros((0, 0), dtype=arr.dtype)
+    arr.flags.writeable = False
+    return a0, w0, arr
+
 
 class BivarPoly:
     """Immutable polynomial in q, t with integer coefficients."""
 
-    # _dict: the terms, or None until a block-backed value first needs them;
-    # _block: (a0, w0, arr) for a block-backed value, else None
-    __slots__ = ("_dict", "_block")
+    __slots__ = ("_block",)
 
     def __init__(self, terms: Mapping[Term, int] | Iterable[tuple[Term, int]] = ()):
         if isinstance(terms, Mapping):
@@ -50,11 +78,18 @@ class BivarPoly:
                 clean[key] = clean.get(key, 0) + c
                 if not clean[key]:
                     del clean[key]
-        object.__setattr__(self, "_dict", clean)
-        object.__setattr__(self, "_block", None)
+        qs, ts = zip(*clean) if clean else ((), ())
+        a0, w0 = min(qs, default=0), min(ts, default=0)
+        arr = np.zeros((max(qs, default=-1) - a0 + 1, max(ts, default=-1) - w0 + 1), dtype=object)
+        for (a, b), c in clean.items():
+            arr[a - a0, b - w0] = c
+        object.__setattr__(self, "_block", _trim(a0, w0, arr))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("BivarPoly is immutable")
+
+    def __reduce__(self):
+        return (BivarPoly._from_block, self._block)
 
     # -- constructors ----------------------------------------------------
 
@@ -71,135 +106,113 @@ class BivarPoly:
         """The polynomial sum arr[i, j] q^(a0+i) t^(w0+j) of a 2-D integer
         array (int64 or object dtype holding Python ints).
 
-        The block is trimmed to the bounding box of its non-zero cells and
-        copied, read-only, so later writes to `arr` do not reach the value.
-        A zero block is stored as an empty block at offset (0, 0).
+        The block is trimmed and copied (see `_trim`), so later writes to
+        `arr` do not reach the value.
         """
-        rows = np.flatnonzero(arr.any(axis=1))
-        cols = np.flatnonzero(arr.any(axis=0))
-        if rows.size:
-            a0, w0 = a0 + int(rows[0]), w0 + int(cols[0])
-            if a0 < 0 or w0 < 0:
-                raise ValueError("exponents must be non-negative")
-            arr = arr[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1].copy()
-        else:
-            a0, w0, arr = 0, 0, np.zeros((0, 0), dtype=arr.dtype)
-        arr.flags.writeable = False
         self = object.__new__(cls)
-        object.__setattr__(self, "_dict", None)
-        object.__setattr__(self, "_block", (a0, w0, arr))
+        object.__setattr__(self, "_block", _trim(a0, w0, arr))
         return self
-
-    @property
-    def _terms(self) -> dict[Term, int]:
-        terms = self._dict
-        if terms is None:
-            a0, w0, arr = self._block
-            i, j = np.nonzero(arr)
-            terms = dict(zip(zip((i + a0).tolist(), (j + w0).tolist()), arr[i, j].tolist()))
-            object.__setattr__(self, "_dict", terms)
-        return terms
 
     # -- views ------------------------------------------------------------
 
     @property
     def terms(self) -> dict[Term, int]:
-        return dict(self._terms)
+        """The non-zero terms, in row-major (sorted) order of the block."""
+        a0, w0, arr = self._block
+        i, j = np.nonzero(arr)
+        return dict(zip(zip((i + a0).tolist(), (j + w0).tolist()), arr[i, j].tolist()))
 
     def coeff(self, dq: int, dt: int) -> int:
-        return self._terms.get((dq, dt), 0)
+        a0, w0, arr = self._block
+        i, j = dq - a0, dt - w0
+        if 0 <= i < arr.shape[0] and 0 <= j < arr.shape[1]:
+            return arr.item(i, j)
+        return 0
 
     def is_zero(self) -> bool:
-        return not len(self)
+        return not self._block[2].size
 
     def __len__(self) -> int:
-        if self._block is not None:
-            return int(np.count_nonzero(self._block[2]))
-        return len(self._terms)
+        return int(np.count_nonzero(self._block[2]))
 
     def min_degrees(self) -> Term:
-        if self.is_zero():
-            return (0, 0)
-        if self._block is not None:
-            return self._block[:2]
-        return (
-            min(k[0] for k in self._terms),
-            min(k[1] for k in self._terms),
-        )
+        return self._block[:2]
 
     def max_degrees(self) -> Term:
         if self.is_zero():
             return (0, 0)
-        if self._block is not None:
-            a0, w0, arr = self._block
-            return (a0 + arr.shape[0] - 1, w0 + arr.shape[1] - 1)
-        return (
-            max(k[0] for k in self._terms),
-            max(k[1] for k in self._terms),
-        )
+        a0, w0, arr = self._block
+        return (a0 + arr.shape[0] - 1, w0 + arr.shape[1] - 1)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-            if not out[k]:
-                del out[k]
-        return BivarPoly(out)
+        parts = [b for b in (self._block, other._block) if b[2].size]
+        if not parts:
+            return self
+        return BivarPoly._from_block(*_sum_blocks(parts, object))
 
     def __neg__(self) -> "BivarPoly":
-        return BivarPoly({k: -c for k, c in self._terms.items()})
+        a0, w0, arr = self._block
+        return BivarPoly._from_block(a0, w0, -arr.astype(object))
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
         return self + (-other)
 
     def __mul__(self, other):
+        a0, w0, x = self._block
         if isinstance(other, int):
-            return BivarPoly({k: c * other for k, c in self._terms.items()})
-        out: dict[Term, int] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return BivarPoly(out)
+            return BivarPoly._from_block(a0, w0, x.astype(object) * other)
+        b0, v0, y = other._block
+        if not x.size or not y.size:
+            return BivarPoly()
+        if x.size > y.size:
+            x, y = y, x
+        y = y.astype(object)
+        h, w = y.shape
+        out = np.zeros((x.shape[0] + h - 1, x.shape[1] + w - 1), dtype=object)
+        i, j = np.nonzero(x)
+        for r, s, c in zip(i.tolist(), j.tolist(), x[i, j].tolist()):
+            out[r : r + h, s : s + w] += c * y
+        return BivarPoly._from_block(a0 + b0, w0 + v0, out)
 
     __rmul__ = __mul__
 
     def shift(self, dq: int, dt: int, coeff: int = 1) -> "BivarPoly":
         """Multiply by coeff * q^dq * t^dt."""
-        return BivarPoly(
-            {(a + dq, b + dt): c * coeff for (a, b), c in self._terms.items()}
-        )
+        a0, w0, arr = self._block
+        if coeff != 1:
+            arr = arr.astype(object) * coeff
+        return BivarPoly._from_block(a0 + dq, w0 + dt, arr)
 
     def eval_at(self, q0: int, t0: int) -> int:
-        return sum(c * q0**a * t0**b for (a, b), c in self._terms.items())
+        return sum(c * q0**a * t0**b for (a, b), c in self.terms.items())
 
     def swap_qt(self) -> "BivarPoly":
         """Transpose exponent pairs: q^a t^b -> q^b t^a."""
-        if self._block is not None:
-            a0, w0, arr = self._block
-            return BivarPoly._from_block(w0, a0, arr.T)
-        return BivarPoly({(b, a): c for (a, b), c in self._terms.items()})
+        a0, w0, arr = self._block
+        return BivarPoly._from_block(w0, a0, arr.T)
 
     def substitute_powers(self, q_pow: int = 1, t_pow: int = 1) -> "BivarPoly":
         """Map q -> q^q_pow, t -> t^t_pow (exponent scaling)."""
         if q_pow < 1 or t_pow < 1:
             raise ValueError("powers must be >= 1")
-        return BivarPoly(
-            {(a * q_pow, b * t_pow): c for (a, b), c in self._terms.items()}
-        )
+        if self.is_zero():
+            return self
+        a0, w0, arr = self._block
+        h, w = arr.shape
+        out = np.zeros(((h - 1) * q_pow + 1, (w - 1) * t_pow + 1), dtype=arr.dtype)
+        out[::q_pow, ::t_pow] = arr
+        return BivarPoly._from_block(a0 * q_pow, w0 * t_pow, out)
 
     def is_qt_symmetric(self) -> bool:
-        if self._block is not None:
-            a0, w0, arr = self._block
-            return a0 == w0 and np.array_equal(arr, arr.T)
-        return all(self._terms.get((b, a)) == c for (a, b), c in self._terms.items())
+        a0, w0, arr = self._block
+        return a0 == w0 and np.array_equal(arr, arr.T)
 
     # -- serialization ---------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Term, int]]:
-        return sorted(self._terms.items())
+        return list(self.terms.items())
 
     def to_sparse_json(self) -> dict:
         return {
@@ -217,13 +230,8 @@ class BivarPoly:
         matrix[i][j] = coeff(kq + i, kt + j)."""
         if self.is_zero():
             return {"shift": [0, 0], "matrix": [[0]]}
-        kq, kt = self.min_degrees()
-        mq, mt = self.max_degrees()
-        rows = [
-            [self.coeff(kq + i, kt + j) for j in range(mt - kt + 1)]
-            for i in range(mq - kq + 1)
-        ]
-        return {"shift": [kq, kt], "matrix": rows}
+        a0, w0, arr = self._block
+        return {"shift": [a0, w0], "matrix": arr.tolist()}
 
     @classmethod
     def from_matrix_json(cls, data: dict) -> "BivarPoly":
@@ -242,14 +250,13 @@ class BivarPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivarPoly):
             return False
-        if self._block is not None and other._block is not None:
-            # trimmed blocks: equal values have equal offsets and cells
-            (a0, w0, a), (b0, v0, b) = self._block, other._block
-            return a0 == b0 and w0 == v0 and np.array_equal(a, b)
-        return self._terms == other._terms
+        # trimmed blocks: equal values have equal offsets and cells
+        (a0, w0, a), (b0, v0, b) = self._block, other._block
+        return a0 == b0 and w0 == v0 and np.array_equal(a, b)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        a0, w0, arr = self._block
+        return hash((a0, w0, arr.shape, tuple(arr.ravel().tolist())))
 
     def __repr__(self) -> str:
         if self.is_zero():

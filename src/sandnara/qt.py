@@ -13,14 +13,14 @@ it here:
 * `rational_qt_series` expands the tabulated rational closed forms.
 
 The two routes that do not enumerate hold their coefficients as dense 2-D
-blocks with a degree offset.  Each uses int64 only under a proven
-coefficient bound, stated in its docstring, and object dtype (Python ints)
-otherwise.  The transfer sweep is guarded by an up-front estimate of the
-memory it and its output hold, in 8-byte cells, checked against the object
-cap.  All three routes hand their result to `BivarPoly` as such a block
-(`narayana_poly` scatters its histogram into one), so equality, the q<->t
-symmetry test and `poly_to_array` read the block, and a term dict is built
-only when a caller asks for the terms.
+blocks with a degree offset, the representation of `BivarPoly` itself.
+Each uses int64 only under a proven coefficient bound, stated in its
+docstring, and object dtype (Python ints) otherwise; the output keeps that
+dtype, while `BivarPoly` arithmetic always runs in object dtype.  The
+transfer sweep is guarded by an up-front estimate of the memory it and its
+output hold, in 8-byte cells, checked against the object cap.  All three
+routes hand their result to `BivarPoly` as such a block (`narayana_poly`
+scatters its histogram into one).
 
 Their agreement wherever two of them are feasible is the backbone of the
 verification suite.  The batch bounce weight is tested against the
@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import polyomino
-from .bivar import BivarPoly, QtSeries
+from .bivar import Block, BivarPoly, QtSeries, _sum_blocks
 from .config import Check, guard_count
 from .errors import NotInDomain
 from .polyomino import (
@@ -134,11 +134,8 @@ def narayana_poly(m: int, n: int, max_objects: int | None = None) -> BivarPoly:
 
 
 def _first_difference(p: BivarPoly, q: BivarPoly) -> tuple[int, int] | None:
-    keys = sorted(set(p.terms) | set(q.terms))
-    for k in keys:
-        if p.coeff(*k) != q.coeff(*k):
-            return k
-    return None
+    """The least exponent pair at which p and q differ, or None."""
+    return next(iter((p - q).terms), None)
 
 
 def _symmetry_check(name: str, p: BivarPoly, q: BivarPoly) -> Check:
@@ -167,14 +164,11 @@ def check_mn_symmetry(m: int, n: int, max_objects: int | None = None) -> Check:
 
 # -- dense coefficient blocks ------------------------------------------------------
 #
-# The two routes that do not enumerate hold every polynomial as a block
-# (a0, w0, arr): arr[i, j] is the coefficient of q^(a0+i) t^(w0+j).  Blocks
-# are combined by slice-adds over their bounding box, and each output block
-# becomes a block-backed `BivarPoly`.  A route picks int64 only when a proven
-# bound on every coefficient and every partial sum fits it, and object dtype
-# (Python ints) otherwise, so nothing wraps.
-
-Block = tuple[int, int, np.ndarray]
+# The two routes that do not enumerate hold every polynomial as a `bivar.Block`
+# and combine blocks with `bivar._sum_blocks`; each output block becomes a
+# `BivarPoly`.  A route picks int64 only when a proven bound on every
+# coefficient and every partial sum fits it, and object dtype (Python ints)
+# otherwise, so nothing wraps.
 
 _INT64_LIMIT = int(np.iinfo(np.int64).max)
 
@@ -182,19 +176,6 @@ _INT64_LIMIT = int(np.iinfo(np.int64).max)
 def _coeff_dtype(bound: int) -> type:
     """int64 when every value is at most `bound` in absolute value, else object."""
     return np.int64 if bound <= _INT64_LIMIT else object
-
-
-def _sum_blocks(parts: Sequence[Block], dtype: type) -> Block:
-    """Sum of shifted blocks: one pass for the bounding box, then one
-    slice-add per part."""
-    a0 = min(a for a, _, _ in parts)
-    w0 = min(w for _, w, _ in parts)
-    a1 = max(a + arr.shape[0] for a, _, arr in parts)
-    w1 = max(w + arr.shape[1] for _, w, arr in parts)
-    out = np.zeros((a1 - a0, w1 - w0), dtype=dtype)
-    for a, w, arr in parts:
-        out[a - a0 : a - a0 + arr.shape[0], w - w0 : w - w0 + arr.shape[1]] += arr
-    return a0, w0, out
 
 
 def _block_poly(block: Block | None) -> BivarPoly:
@@ -316,12 +297,9 @@ def _transfer_moves(state: State) -> list[Move]:
     return out
 
 
-# Cost weights of the transfer sweep, in 8-byte cells: a block cell of each
-# dtype (an object cell is a pointer plus, when nonzero, a Python int), and
-# one term of an output `BivarPoly` (a dict slot, its (area, weight) key tuple
-# and the coefficient; about 120 bytes measured).
+# Cost weight of a block cell of each dtype, in 8-byte cells: an object cell
+# is a pointer plus, when nonzero, a Python int.
 _CELL_WEIGHT = {np.int64: 1, object: 5}
-_TERM_WEIGHT = 16
 
 
 def _transfer_box(m: int, n: int) -> int:
@@ -341,9 +319,9 @@ def _transfer_plan(
     """The moves of every state live in rows 1..n_max - 1, the coefficient
     dtype, and the estimated cost, checked against the object cap.
 
-    The estimate, in 8-byte cells, is the output (`_TERM_WEIGHT` per cell of
-    the boxes of F_{m,1..n_max}) plus the blocks of the two rows that exist
-    during a row step (their states times the n_max box, weighted by dtype).
+    The estimate, in 8-byte cells weighted by dtype, is the output blocks
+    (the boxes of F_{m,1..n_max}) plus the blocks of the two rows that exist
+    during a row step (their states times the n_max box).
     It is checked before the coefficient bound is computed and again before
     the moves of each new row are built, so an oversized box is refused
     before any large allocation.  The live set of a row depends only on the
@@ -359,7 +337,7 @@ def _transfer_plan(
     what = f"transfer matrix F_{{{m},{n_max}}}"
 
     def guard(states: int, weight: int) -> int:
-        cells = _TERM_WEIGHT * column_cells + weight * states * box
+        cells = weight * (column_cells + states * box)
         return guard_count(cells, max_objects, what, "cells")
 
     guard(m, 1)  # a lower bound, cheap before the coefficient bound
@@ -520,12 +498,8 @@ def poly_to_array(poly: BivarPoly, size: int) -> np.ndarray:
     if not poly.is_zero() and max(poly.max_degrees()) >= size:
         raise ValueError("array too small for the exponent range")
     out = np.zeros((size, size), dtype=np.int64)
-    if poly._block is not None:
-        a0, w0, arr = poly._block
-        out[a0 : a0 + arr.shape[0], w0 : w0 + arr.shape[1]] = arr
-    else:
-        for (a, b), c in poly.terms.items():
-            out[a, b] = c
+    a0, w0, arr = poly._block
+    out[a0 : a0 + arr.shape[0], w0 : w0 + arr.shape[1]] = arr
     return out
 
 

@@ -1,12 +1,15 @@
 """Exact polynomial arithmetic and serialization."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sandnara.bivar import BivarPoly, QtSeries
-from sandnara.qt import poly_to_array
+from sandnara.qt import narayana_poly, poly_to_array
 
 polys = st.dictionaries(
     st.tuples(st.integers(0, 6), st.integers(0, 6)),
@@ -106,7 +109,7 @@ def test_json_round_trips(p):
     assert BivarPoly.from_matrix_json(p.to_matrix_json()) == p
 
 
-# -- block-backed values against the dict constructor ---------------------------
+# -- values from `_from_block` against the dict constructor ---------------------
 
 
 @st.composite
@@ -138,16 +141,15 @@ def array_or_error(poly, size):
         return type(exc), str(exc)
 
 
-def assert_same(p, q, ordered=True):
-    """p and q agree on every view, with ordered=True the iteration order
-    of the terms included."""
+def assert_same(p, q):
+    """p and q agree on every view, the iteration order of the terms
+    included."""
     assert p == q and q == p
     assert hash(p) == hash(q)
     assert repr(p) == repr(q)
     assert len(p) == len(q)
     assert p.sorted_terms() == q.sorted_terms()
-    if ordered:
-        assert list(p.terms.items()) == list(q.terms.items())
+    assert list(p.terms.items()) == list(q.terms.items())
     assert p.is_qt_symmetric() == q.is_qt_symmetric()
     assert (p.min_degrees(), p.max_degrees()) == (q.min_degrees(), q.max_degrees())
 
@@ -161,10 +163,7 @@ class TestBlockBacked:
     def test_matches_dict_constructor(self, block):
         p, d = BivarPoly._from_block(*block), dict_twin(*block)
         assert_same(p, d)
-        # a swapped block lists its terms row by row of the transposed
-        # block, a swapped dict in the order of the dict it came from
-        assert_same(p.swap_qt(), d.swap_qt(), ordered=False)
-        assert p.swap_qt() == d.swap_qt() and d.swap_qt() == p.swap_qt()
+        assert_same(p.swap_qt(), d.swap_qt())
         assert p.swap_qt().swap_qt() == p
         side = max(p.max_degrees()) + 1
         for size in (side - 1, side, side + 2):
@@ -177,6 +176,8 @@ class TestBlockBacked:
     @BLOCKS
     @given(blocks(), blocks())
     def test_arithmetic_and_equality_across_backings(self, b1, b2):
+        """Values from `_from_block` (int64 or object) and from the dict
+        constructor (object) compute and compare alike."""
         p1, p2 = BivarPoly._from_block(*b1), BivarPoly._from_block(*b2)
         d1, d2 = dict_twin(*b1), dict_twin(*b2)
         assert (p1 == p2) == (d1 == d2) == (p1 == d2) == (d1 == p2)
@@ -219,6 +220,22 @@ class TestBlockBacked:
             assert_same(p, BivarPoly.zero())
             assert p.is_zero() and p.is_qt_symmetric() and p.swap_qt() == p
             assert np.array_equal(poly_to_array(p, 2), np.zeros((2, 2), dtype=np.int64))
+
+    def test_terms_in_sorted_order(self):
+        assert list(BivarPoly({(2, 0): 1, (0, 0): 1}).terms) == [(0, 0), (2, 0)]
+
+    @pytest.mark.parametrize(
+        "copy_of", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_pickle_and_deepcopy(self, copy_of):
+        for p in (
+            BivarPoly({(3, 3): 1, (4, 3): -2}),
+            narayana_poly(4, 5),
+            BivarPoly._from_block(1, 2, np.array([[2**64, 0], [0, -1]], dtype=object)),
+        ):
+            got = copy_of(p)
+            assert got == p and hash(got) == hash(p)
+            assert not got._block[2].flags.writeable
 
     def test_negative_exponent_rejected(self):
         arr = np.array([[0, 0], [0, 3]])

@@ -245,12 +245,18 @@ class TestTransferMatrix:
             transfer_matrix_F(m, n_max)
         assert len(calls) == rows_built
 
-    def test_output_is_counted(self, monkeypatch):
-        # the blocks of the F_{6,100} sweep fit the default cap, but its 100
-        # output polynomials (4.1 * 10^6 terms) are most of its memory
+    def test_f_6_100_at_default_cap(self, monkeypatch):
+        # the output blocks are charged one cell per cell of their boxes,
+        # like the sweep's own blocks, so the whole run fits the cap
         monkeypatch.delenv("SANDPILE_MAX_OBJECTS", raising=False)
-        with pytest.raises(ResourceLimit, match=r"F_\{6,100\}"):
-            transfer_matrix_F(6, 100)
+        last = transfer_matrix_F(6, 100)[-1]
+        assert last.is_qt_symmetric()
+        assert last.eval_at(1, 1) == narayana_number(105, 6)
+
+    def test_box_over_the_estimate_refused(self, monkeypatch):
+        monkeypatch.delenv("SANDPILE_MAX_OBJECTS", raising=False)
+        with pytest.raises(ResourceLimit, match=r"F_\{8,100\}: \d+ cells exceeds cap"):
+            transfer_matrix_F(8, 100)
 
     def test_cost_estimate_bounds_every_block(self, monkeypatch):
         # every block the sweep builds fits the estimate's per-state box
