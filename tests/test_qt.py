@@ -246,8 +246,8 @@ class TestTransferMatrix:
         assert len(calls) == rows_built
 
     def test_f_6_100_at_default_cap(self, monkeypatch):
-        # the output blocks are charged one cell per cell of their boxes,
-        # like the sweep's own blocks, so the whole run fits the cap
+        # output cells are charged at their dtype weight, like the sweep's
+        # own blocks (one cell each in int64), so the whole run fits the cap
         monkeypatch.delenv("SANDPILE_MAX_OBJECTS", raising=False)
         last = transfer_matrix_F(6, 100)[-1]
         assert last.is_qt_symmetric()
