@@ -4,16 +4,20 @@ Minimal configurations carry the fewest grains a recurrent state can hold;
 their cell images are exactly the ribbons.  A minimal state with exactly one
 empty vertex, forced to be v_m, is called minanz.  On the square graph
 (m = n) the minanz states biject with bicomposition matrices -- square
-matrices of disjoint sets covering {1..n-1} with no empty row or column --
-by intersecting the top waves with the shifted bottom waves of the canonical
-toppling.  Upper-triangular matrices correspond to the top-heavy states and,
-through the matrix, to (2+2)-free posets whose level structure reads the
-heights back directly.
+matrices of disjoint sets covering {1..n-1} with no empty row or column,
+that is pairs of ordered set partitions with the same number of blocks.  A
+matrix is stored as those two partitions, one word each: element x sits in
+the row of the top wave holding v_x and the column of the bottom wave holding
+v_{n+x} in the canonical toppling.  Upper-triangular matrices correspond to
+the top-heavy states and to (2+2)-free posets, read as Fishburn's interval
+orders: x < y iff the column of x precedes the row of y.  Down-sets, levels
+and the heights of the configurations are prefix counts of the two words.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -78,21 +82,17 @@ def is_minanz(config: BipartiteConfig) -> bool:
 
 
 def _minanz_heights(config: BipartiteConfig) -> bool:
-    """is_minanz for a configuration already known to be recurrent."""
+    """is_minanz for a configuration already known to be recurrent: heights
+    are non-negative, so v_m must hold the only zero."""
     h = config.heights
-    vm = config.m - 1  # 0-based index of v_m
-    return (
-        level(config) == 0
-        and h[vm] == 0
-        and all(v > 0 for i, v in enumerate(h) if i != vm)
-    )
+    return h[config.m - 1] == 0 and h.count(0) == 1 and level(config) == 0
 
 
 def wave(config: BipartiteConfig, vertex: int) -> int:
     """Wave index of a vertex in the canonical toppling (1-based)."""
     if not 1 <= vertex <= config.m + config.n - 1:
         raise ValueError(f"vertex {vertex} out of range")
-    w = canon_top(config).wave_of(vertex)
+    w = canon_top(config).wave_index().get(vertex)
     if w is None:
         raise VertexNotToppled(f"v_{vertex} never topples")
     return w
@@ -128,122 +128,130 @@ def _top_heavy_trace(config: BipartiteConfig, trace: TopplingTrace) -> bool:
 # -- bicomposition matrices ------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: True and 1.0 equal 1, so only a type check
+    tells them apart."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class BicompMatrix:
-    """k x k matrix of disjoint sets partitioning {1..N}, no empty row/column."""
+    """k x k matrix of disjoint sets partitioning {1..N}, no empty row or
+    column, held as a pair of ordered set partitions with k blocks each:
+    element x sits in cell (row_of[x-1], col_of[x-1]), 0-based."""
 
     k: int
-    rows: tuple[tuple[frozenset[int], ...], ...]
+    row_of: tuple[int, ...]
+    col_of: tuple[int, ...]
 
     def __post_init__(self):
-        k = self.k
-        if k < 1 or len(self.rows) != k:
+        k, rows, cols = self.k, self.row_of, self.col_of
+        if not _is_int(k) or k < 1:
             raise InvalidMatrix("dimension mismatch")
-        if any(len(r) != k for r in self.rows):
-            raise InvalidMatrix("matrix must be square")
-        # one pass over the entries; it also records the non-empty rows and
-        # columns, whose faults are raised after the partition check
-        seen: set[int] = set()
-        total = 0
-        row_used = [False] * k
-        col_used = [False] * k
-        for i, r in enumerate(self.rows):
-            for j, cell in enumerate(r):
-                if seen & cell:
-                    raise InvalidMatrix("entries must be pairwise disjoint")
-                if cell:
-                    seen |= cell
-                    total += len(cell)
-                    row_used[i] = col_used[j] = True
-        # a set comparison, not a sort: it needs no order on the elements, so
-        # a non-int entry fails here too, whatever the hash seed; True and 1.0
-        # equal 1, so each entry must also be an int and not a bool
-        ints = all(isinstance(x, int) and not isinstance(x, bool) for x in seen)
-        if not ints or not seen or seen != set(range(1, total + 1)):
-            raise InvalidMatrix("entries must partition {1..N}")
+        if not (isinstance(rows, tuple) and isinstance(cols, tuple)) or len(rows) != len(cols):
+            raise InvalidMatrix("row and column words must be tuples of equal length")
+        if not all(type(a) is int and 0 <= a < k for a in rows + cols):  # no bools
+            raise InvalidMatrix(f"row and column indices must be ints in range({k})")
+        used_rows, used_cols = set(rows), set(cols)
         for i in range(k):
-            if not row_used[i]:
+            if i not in used_rows:
                 raise InvalidMatrix(f"row {i + 1} is empty")
-            if not col_used[i]:
+            if i not in used_cols:
                 raise InvalidMatrix(f"column {i + 1} is empty")
 
     @property
     def ground_size(self) -> int:
-        return sum(len(c) for r in self.rows for c in r)
+        return len(self.row_of)
 
-    def row_union(self, i: int) -> frozenset[int]:
-        return frozenset().union(*self.rows[i])
+    @property
+    def rows(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        """The cells, row by row."""
+        return tuple(tuple(map(frozenset, r)) for r in self._cells())
 
-    def col_union(self, j: int) -> frozenset[int]:
-        return frozenset().union(*(self.rows[i][j] for i in range(self.k)))
+    def _cells(self) -> list[list[list[int]]]:
+        cells = [[[] for _ in range(self.k)] for _ in range(self.k)]
+        for x, (i, j) in enumerate(zip(self.row_of, self.col_of), 1):
+            cells[i][j].append(x)
+        return cells
 
     def is_upper_triangular(self) -> bool:
-        return all(
-            not self.rows[i][j] for i in range(self.k) for j in range(i)
-        )
+        return all(i <= j for i, j in zip(self.row_of, self.col_of))
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "rows": [[sorted(c) for c in r] for r in self.rows],
-        }
+        return {"k": self.k, "rows": self._cells()}
 
     @classmethod
     def from_json(cls, data: dict) -> "BicompMatrix":
         rows = json_field(data, "rows", int, depth=3)
-        return cls(
-            json_field(data, "k", int),
-            tuple(tuple(frozenset(c) for c in r) for r in rows),
-        )
+        return cls._from_cells(json_field(data, "k", int), rows)
 
     @classmethod
     def from_lists(cls, rows: Sequence[Sequence[Iterable[int]]]) -> "BicompMatrix":
-        return cls(len(rows), tuple(tuple(frozenset(c) for c in r) for r in rows))
+        return cls._from_cells(len(rows), rows)
+
+    @classmethod
+    def _from_cells(cls, k: int, rows: Sequence[Sequence[Iterable[int]]]) -> "BicompMatrix":
+        """Read the two words off a matrix of sets; the first fault found, in
+        a fixed order, is the one raised."""
+        cells = [[frozenset(c) for c in r] for r in rows]
+        if k < 1 or len(cells) != k:
+            raise InvalidMatrix("dimension mismatch")
+        if any(len(r) != k for r in cells):
+            raise InvalidMatrix("matrix must be square")
+        place: dict = {}  # entry -> (row, column)
+        for i, r in enumerate(cells):
+            for j, cell in enumerate(r):
+                for x in cell:
+                    if x in place:
+                        raise InvalidMatrix("entries must be pairwise disjoint")
+                    place[x] = (i, j)
+        # N distinct ints in 1..N are exactly {1..N}; the type test comes
+        # first, so a non-int entry fails here whatever the hash seed
+        total = len(place)
+        if not place or not all(_is_int(x) and 1 <= x <= total for x in place):
+            raise InvalidMatrix("entries must partition {1..N}")
+        row_of, col_of = zip(*(place[x] for x in range(1, total + 1)))
+        return cls(k, row_of, col_of)
 
 
 def matrix_of_config(config: BipartiteConfig) -> BicompMatrix:
     """Square minanz state -> matrix with M[i][j] = P_i intersect (Q_j - n).
 
     P_i are the top waves, Q_j the bottom waves of the canonical toppling;
-    the final bottom wave is always {v_n} and is dropped.
+    the final bottom wave is always {v_n} and is dropped.  The wave at
+    position p of the trace has block index p // 2: a top vertex v_x gives
+    the row of x, a bottom vertex v_{n+x} its column, and v_n gives nothing.
     """
     n = config.n
     if config.m != n:
         raise NotMinanz("matrix correspondence needs a square configuration")
-    trace = _require_recurrent(config).trace
+    waves = _require_recurrent(config).trace.waves
     if not _minanz_heights(config):
         raise NotMinanz(f"{config!r} is not minanz")
-    qs = trace.bottom_waves()
-    ps = trace.top_waves()
-    if qs[-1] != frozenset({n}):
+    if waves[-1] != ("bottom", frozenset({n})):
         raise NotMinanz("canonical toppling must end with the wave {v_n}")
-    k = len(ps)
-    qshift = [frozenset([x - n for x in q]) for q in qs[:k]]
-    return BicompMatrix(k, tuple(tuple([p & q for q in qshift]) for p in ps))
+    block = [0] * (2 * n)  # block[v]: block index of the wave holding v_v
+    for p, (_, s) in enumerate(waves):
+        for v in s:
+            block[v] = p // 2
+    return BicompMatrix(len(waves) // 2, tuple(block[1:n]), tuple(block[n + 1 :]))
 
 
 def config_of_matrix(mat: BicompMatrix) -> BipartiteConfig:
     """Inverse of matrix_of_config.
 
-    With p_i, q_i the row/column union sizes, the heights are
+    With p_i, q_i the numbers of elements in row i and column i, the heights are
         u_n       = 0,
-        u_{n+x}   = n-1 - (p_1 + ... + p_{i-1})   for x in column union i,
-        u_x       = n   - (q_1 + ... + q_i)       for x in row union i.
+        u_{n+x}   = n-1 - (p_1 + ... + p_{i-1})   for x in column i,
+        u_x       = n   - (q_1 + ... + q_i)       for x in row i;
+    each sum counts the letters below (or up to) i in the sorted word.
     """
-    k = mat.k
-    rows = [mat.row_union(i) for i in range(k)]
-    cols = [mat.col_union(j) for j in range(k)]
-    n = sum(map(len, rows)) + 1
-    heights = [0] * (2 * n - 1)
-    p_before = q_through = 0  # p_1 + ... + p_{i-1} and q_1 + ... + q_i
-    for i in range(k):
-        q_through += len(cols[i])
-        for x in cols[i]:
-            heights[n - 1 + x] = n - 1 - p_before
-        for x in rows[i]:
-            heights[x - 1] = n - q_through
-        p_before += len(rows[i])
-    return BipartiteConfig(n, n, heights)
+    rows, cols = mat.row_of, mat.col_of
+    n = len(rows) + 1
+    sorted_rows, sorted_cols = sorted(rows), sorted(cols)
+    top = [n - bisect_right(sorted_cols, i) for i in rows]
+    bottom = [n - 1 - bisect_left(sorted_rows, j) for j in cols]
+    return BipartiteConfig(n, n, top + [0] + bottom)
 
 
 # -- interval orders ----------------------------------------------------------------
@@ -251,49 +259,42 @@ def config_of_matrix(mat: BicompMatrix) -> BipartiteConfig:
 
 @dataclass(frozen=True)
 class IntervalOrder:
-    """(2+2)-free poset in chain form: strictly increasing down-sets
-    D_0 = {} < D_1 < ... < D_{k-1} together with the level sets L_i of
-    elements whose down-set equals D_i."""
+    """(2+2)-free poset on {1..n} as an upper-triangular bicomposition
+    matrix, Fishburn's interval representation: x < y iff the column of x
+    precedes the row of y.  Row i is the level L_i, the elements whose
+    down-set is D_i, the union of the columns before i; so the down-sets
+    strictly increase from D_0 = {}.  Raises NotUpperTriangular for any
+    other matrix."""
 
-    n: int
-    downsets: tuple[frozenset[int], ...]
-    levels: tuple[frozenset[int], ...]
+    matrix: BicompMatrix
 
     def __post_init__(self):
-        k = len(self.downsets)
-        if k < 1 or len(self.levels) != k:
-            raise NotIntervalOrder("downsets and levels must align")
-        if self.downsets[0]:
-            raise NotIntervalOrder("D_0 must be empty")
-        for a, b in zip(self.downsets, self.downsets[1:]):
-            if not (a < b):
-                raise NotIntervalOrder("down-sets must strictly increase")
-        ground = set()
-        for lv in self.levels:
-            if not lv or ground & lv:
-                raise NotIntervalOrder("levels must be disjoint and non-empty")
-            ground |= lv
-        if sorted(ground) != list(range(1, self.n + 1)):
-            raise NotIntervalOrder("levels must partition {1..n}")
-        if any(not d <= ground for d in self.downsets):
-            raise NotIntervalOrder("down-sets must be subsets of the ground set")
-        for i in range(k):
-            if self.levels[i] & self.downsets[i]:
-                raise NotIntervalOrder("an element cannot sit in its own down-set")
-        if self.downsets[-1] >= ground:
-            raise NotIntervalOrder("top down-set cannot be the whole ground set")
+        if not self.matrix.is_upper_triangular():
+            raise NotUpperTriangular("poset correspondence needs an upper-triangular matrix")
+
+    @property
+    def n(self) -> int:
+        return self.matrix.ground_size
 
     @property
     def k(self) -> int:
-        return len(self.levels)
+        return self.matrix.k
+
+    @property
+    def levels(self) -> tuple[frozenset[int], ...]:
+        rows = self.matrix.row_of
+        return tuple(frozenset(x for x, i in enumerate(rows, 1) if i == lv) for lv in range(self.k))
+
+    @property
+    def downsets(self) -> tuple[frozenset[int], ...]:
+        cols = self.matrix.col_of
+        return tuple(frozenset(x for x, j in enumerate(cols, 1) if j < lv) for lv in range(self.k))
 
     def relation_pairs(self) -> frozenset[tuple[int, int]]:
-        out = set()
-        for i, lv in enumerate(self.levels):
-            for y in lv:
-                for x in self.downsets[i]:
-                    out.add((x, y))
-        return frozenset(out)
+        rows, cols = self.matrix.row_of, self.matrix.col_of
+        return frozenset(
+            (x, y) for x, j in enumerate(cols, 1) for y, i in enumerate(rows, 1) if j < i
+        )
 
     def to_json(self) -> dict:
         return {
@@ -304,11 +305,48 @@ class IntervalOrder:
 
     @classmethod
     def from_json(cls, data: dict) -> "IntervalOrder":
-        return cls(
+        return cls._from_chain(
             json_field(data, "n", int),
             tuple(frozenset(d) for d in json_field(data, "downsets", int, depth=2)),
             tuple(frozenset(lv) for lv in json_field(data, "levels", int, depth=2)),
         )
+
+    @classmethod
+    def _from_chain(
+        cls, n: int, downsets: tuple[frozenset[int], ...], levels: tuple[frozenset[int], ...]
+    ) -> "IntervalOrder":
+        """The order in chain form: strictly increasing down-sets
+        D_0 = {} < D_1 < ... < D_{k-1} together with the level sets L_i of
+        elements whose down-set equals D_i."""
+        k = len(downsets)
+        if k < 1 or len(levels) != k:
+            raise NotIntervalOrder("downsets and levels must align")
+        if downsets[0]:
+            raise NotIntervalOrder("D_0 must be empty")
+        for a, b in zip(downsets, downsets[1:]):
+            if not (a < b):
+                raise NotIntervalOrder("down-sets must strictly increase")
+        ground = set()
+        for lv in levels:
+            if not lv or ground & lv:
+                raise NotIntervalOrder("levels must be disjoint and non-empty")
+            ground |= lv
+        if sorted(ground) != list(range(1, n + 1)):
+            raise NotIntervalOrder("levels must partition {1..n}")
+        if any(not d <= ground for d in downsets):
+            raise NotIntervalOrder("down-sets must be subsets of the ground set")
+        for i in range(k):
+            if levels[i] & downsets[i]:
+                raise NotIntervalOrder("an element cannot sit in its own down-set")
+        if downsets[-1] >= ground:
+            raise NotIntervalOrder("top down-set cannot be the whole ground set")
+        level_of = {x: i for i, lv in enumerate(levels) for x in lv}
+        # x in D_j for the first time: column j - 1 (the smallest j is written
+        # last); x outside the top down-set: the last column
+        column_of = {x: j - 1 for j in range(k - 1, 0, -1) for x in downsets[j]}
+        row_of = tuple(level_of[x] for x in range(1, n + 1))
+        col_of = tuple(column_of.get(x, k - 1) for x in range(1, n + 1))
+        return cls(BicompMatrix(k, row_of, col_of))
 
     @classmethod
     def from_relation(
@@ -337,7 +375,7 @@ class IntervalOrder:
         levels = tuple(
             frozenset(x for x in range(1, n + 1) if down[x] == d) for d in distinct
         )
-        return cls(n, tuple(distinct), levels)
+        return cls._from_chain(n, tuple(distinct), levels)
 
 
 def is_two_plus_two_free(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
@@ -350,54 +388,35 @@ def is_two_plus_two_free(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
 
 
 def dual_poset(order: IntervalOrder) -> IntervalOrder:
-    """Order-reversal, computed structurally:
-    L_{k-1-i}(dual) = D_{i+1} \\ D_i and D_{k-1-i}(dual) = union of the
-    levels above i, with D_k taken to be the whole ground set."""
-    k = order.k
-    ground = frozenset(range(1, order.n + 1))
-    ext_down = list(order.downsets) + [ground]
-    dual_levels = tuple(
-        ext_down[i + 1] - ext_down[i] for i in range(k - 1, -1, -1)
+    """Order-reversal: the anti-transpose of the matrix, row' = k-1-col and
+    col' = k-1-row, since y <' x iff x < y iff col(x) < row(y)."""
+    mat = order.matrix
+    last = mat.k - 1
+    return IntervalOrder(
+        BicompMatrix(
+            mat.k, tuple(last - j for j in mat.col_of), tuple(last - i for i in mat.row_of)
+        )
     )
-    dual_downs = tuple(
-        frozenset().union(*order.levels[i + 1 :]) for i in range(k - 1, -1, -1)
-    )
-    return IntervalOrder(order.n, dual_downs, dual_levels)
 
 
 def poset_of_matrix(mat: BicompMatrix) -> IntervalOrder:
     """Upper-triangular matrix -> poset: x < y iff the column of x precedes
-    the row of y.  Row unions become levels, unions of leading columns the
+    the row of y.  Rows become levels, unions of leading columns the
     down-sets."""
-    if not mat.is_upper_triangular():
-        raise NotUpperTriangular("poset correspondence needs an upper-triangular matrix")
-    k = mat.k
-    cols = [mat.col_union(j) for j in range(k)]
-    downs = []
-    acc: frozenset[int] = frozenset()
-    for j in range(k):
-        downs.append(acc)
-        acc = acc | cols[j]
-    levels = tuple(mat.row_union(i) for i in range(k))
-    return IntervalOrder(mat.ground_size, tuple(downs), levels)
+    return IntervalOrder(mat)
 
 
 def matrix_of_poset(order: IntervalOrder) -> BicompMatrix:
     """Inverse of poset_of_matrix: M[i][j] = L_i intersect (D_{j+1} \\ D_j),
     reading D_k as the whole ground set."""
-    k = order.k
-    ground = frozenset(range(1, order.n + 1))
-    ext_down = list(order.downsets) + [ground]
-    rows = tuple(
-        tuple(
-            order.levels[i] & (ext_down[j + 1] - ext_down[j]) for j in range(k)
-        )
-        for i in range(k)
-    )
-    try:
-        return BicompMatrix(k, rows)
-    except InvalidMatrix as exc:  # pragma: no cover - chain form precludes this
-        raise NotIntervalOrder(str(exc)) from exc
+    return order.matrix
+
+
+def _next_down_sizes(order: IntervalOrder) -> list[int]:
+    """|D_{j+1}| for each element of the order, j its level: D_{j+1} holds
+    the elements of columns 0..j."""
+    cols = sorted(order.matrix.col_of)
+    return [bisect_right(cols, j) for j in order.matrix.row_of]
 
 
 def config_of_poset(order: IntervalOrder, n: int) -> BipartiteConfig:
@@ -411,19 +430,8 @@ def config_of_poset(order: IntervalOrder, n: int) -> BipartiteConfig:
     """
     if order.n != n - 1:
         raise NotIntervalOrder(f"poset must live on {{1..{n - 1}}}")
-    k = order.k
-    ground = frozenset(range(1, n))
-    ext = list(order.downsets) + [ground]
-    dual = dual_poset(order)
-    ext_dual = list(dual.downsets) + [ground]
-    heights = [0] * (2 * n - 1)
-    for j in range(k):
-        for x in order.levels[j]:
-            heights[x - 1] = n - len(ext[j + 1])
-        for x in dual.levels[j]:
-            heights[n - 1 + x] = len(ext_dual[j + 1])
-    heights[n - 1] = 0
-    return BipartiteConfig(n, n, heights)
+    top = [n - d for d in _next_down_sizes(order)]
+    return BipartiteConfig(n, n, top + [0] + _next_down_sizes(dual_poset(order)))
 
 
 # -- enumeration and counting ---------------------------------------------------------
@@ -434,8 +442,7 @@ def enumerate_minanz(
 ) -> Iterator[BipartiteConfig]:
     """All minanz states: rearrangements of increasing minanz states with the
     single zero pinned at v_m."""
-    bound = count_sqrec(n) if m == n else narayana_number(m + n - 1, m)
-    guard_count(bound, max_objects, f"minanz(D_{{{m},{n}}})")
+    guard_count(_count_all_minanz(m, n), max_objects, f"minanz(D_{{{m},{n}}})")
     for inc in enumerate_rec_star(m, n, max_objects=None):
         if level(inc) != 0:
             continue
@@ -472,15 +479,23 @@ def count_minanz(m: int, n: int) -> int:
     return math.comb(m + n - 4, m - 2)
 
 
+def _count_all_minanz(m: int, n: int) -> int:
+    """All minanz states of K_{m,n}: sum over k of k! S(m-1, k) * k! S(n-1, k),
+    the pairs of ordered set partitions of {1..m-1} and {1..n-1} with the
+    same number k of parts (k = 0 only for the empty sets, m = n = 1)."""
+    return sum(
+        math.factorial(k) ** 2 * stirling2(m - 1, k) * stirling2(n - 1, k)
+        for k in range(min(m, n))
+    )
+
+
 def count_sqrec(n: int) -> int:
     """All square minanz states: sum over k of (k! S(n-1, k))^2.
 
     This is the number of pairs of ordered set partitions of {1..n-1} with
     the same number of parts, i.e. the bicomposition matrix count.
     """
-    return sum(
-        (math.factorial(k) * stirling2(n - 1, k)) ** 2 for k in range(1, n)
-    )
+    return _count_all_minanz(n, n)
 
 
 @dataclass(frozen=True)

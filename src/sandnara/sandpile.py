@@ -119,10 +119,6 @@ class TopplingTrace:
         """Vertex -> 1-based wave index i with the vertex in Q_i or P_i."""
         return {v: pos // 2 + 1 for pos, (_, s) in enumerate(self.waves) for v in s}
 
-    def wave_of(self, vertex: int) -> int | None:
-        """1-based wave index i with vertex in Q_i or P_i, or None."""
-        return self.wave_index().get(vertex)
-
     def to_json(self) -> dict:
         return {
             "waves": [

@@ -12,6 +12,11 @@ that shares nothing with them:
   whole set for each column;
 * `heights_of_matrix` evaluates the height formula of `config_of_matrix` with
   union sizes recomputed from the matrix cells for every term;
+* `matrix_rows_of_config`, `chain_of_rows`, `rows_of_chain`, `dual_chain`
+  and `heights_of_chain` are the matrix and poset maps on sets: the cells
+  P_i & (Q_j - n) of the waves, and the (2+2)-free poset as its chain of
+  down-sets D_0 < ... < D_{k-1} and its levels, rebuilt by unions and
+  intersections;
 * `sorted_cell_profiles` fills the cell image of a configuration cell by
   cell from its sorted heights, the polyomino `decorate` attaches the waves
   to;
@@ -120,6 +125,61 @@ def heights_of_matrix(rows) -> tuple[int, ...]:
             heights[n - 1 + x] = n - 1 - sum(len(row(a)) for a in range(i))
         for x in row(i):
             heights[x - 1] = n - sum(len(col(a)) for a in range(i + 1))
+    return tuple(heights)
+
+
+def matrix_rows_of_config(n: int, heights) -> tuple:
+    """Cells M[i][j] = P_i & (Q_j - n) of a square minanz state, from the
+    waves of `burn_waves`; the final bottom wave {v_n} is dropped."""
+    _, waves = burn_waves(n, n, heights)
+    ps = [s for side, s in waves if side == "top"]
+    qs = [frozenset(x - n for x in s) for side, s in waves if side == "bottom"]
+    return tuple(tuple(p & q for q in qs[: len(ps)]) for p in ps)
+
+
+def chain_of_rows(rows) -> tuple:
+    """(n, down-sets, levels) of an upper-triangular matrix: row unions are
+    the levels, unions of the leading columns the down-sets."""
+    k = len(rows)
+    cols = [frozenset().union(*(rows[i][j] for i in range(k))) for j in range(k)]
+    downs, acc = [], frozenset()
+    for j in range(k):
+        downs.append(acc)
+        acc = acc | cols[j]
+    levels = tuple(frozenset().union(*r) for r in rows)
+    return len(acc), tuple(downs), levels
+
+
+def rows_of_chain(n: int, downsets, levels) -> tuple:
+    """M[i][j] = L_i & (D_{j+1} - D_j), reading D_k as {1..n}."""
+    k = len(levels)
+    ext = list(downsets) + [frozenset(range(1, n + 1))]
+    return tuple(tuple(levels[i] & (ext[j + 1] - ext[j]) for j in range(k)) for i in range(k))
+
+
+def dual_chain(n: int, downsets, levels) -> tuple:
+    """Chain form of the reversed order: L_{k-1-i}(dual) = D_{i+1} - D_i and
+    D_{k-1-i}(dual) = the union of the levels above i."""
+    k = len(levels)
+    ext = list(downsets) + [frozenset(range(1, n + 1))]
+    dual_levels = tuple(ext[i + 1] - ext[i] for i in range(k - 1, -1, -1))
+    dual_downs = tuple(frozenset().union(*levels[i + 1 :]) for i in range(k - 1, -1, -1))
+    return n, dual_downs, dual_levels
+
+
+def heights_of_chain(n: int, downsets, levels) -> tuple:
+    """Top-heavy heights on K_{n,n} of a poset on {1..n-1}: u_x = n - |D_{j+1}|
+    for x in L_j, u_{x+n} = |D_{j+1}(dual)| for x in L_j(dual), u_n = 0."""
+    _, dual_downs, dual_levels = dual_chain(n - 1, downsets, levels)
+    ground = frozenset(range(1, n))
+    ext = list(downsets) + [ground]
+    ext_dual = list(dual_downs) + [ground]
+    heights = [0] * (2 * n - 1)
+    for j in range(len(levels)):
+        for x in levels[j]:
+            heights[x - 1] = n - len(ext[j + 1])
+        for x in dual_levels[j]:
+            heights[n - 1 + x] = len(ext_dual[j + 1])
     return tuple(heights)
 
 

@@ -30,6 +30,7 @@ from sandnara.classes import (
     poset_of_matrix,
     stirling2,
     wave,
+    _count_all_minanz,
 )
 from sandnara.errors import (
     InvalidMatrix,
@@ -37,6 +38,7 @@ from sandnara.errors import (
     NotMinanz,
     NotRecurrent,
     NotUpperTriangular,
+    ResourceLimit,
     VertexNotToppled,
 )
 from sandnara.polyomino import enumerate_para, narayana_number
@@ -63,11 +65,9 @@ def sqrec_matrices(n):
     for k in range(1, n):
         for rows_part in ordered_partitions(ground, k):
             for cols_part in ordered_partitions(ground, k):
-                rows = tuple(
-                    tuple(rows_part[i] & cols_part[j] for j in range(k))
-                    for i in range(k)
+                yield BicompMatrix.from_lists(
+                    [[rows_part[i] & cols_part[j] for j in range(k)] for i in range(k)]
                 )
-                yield BicompMatrix(k, rows)
 
 
 class TestPredicates:
@@ -205,6 +205,35 @@ class TestMatrixCorrespondence:
             BicompMatrix.from_lists(rows)
         assert str(exc.value) == message
 
+    def test_words_of_the_worked_matrix(self):
+        # element x sits in cell (row_of[x-1], col_of[x-1])
+        mat = BicompMatrix(3, (1, 0, 0, 2, 1, 2, 0), (2, 1, 0, 2, 1, 2, 1))
+        want = TestPosetCorrespondence.MAT
+        assert mat == want and hash(mat) == hash(want)
+        assert mat.rows == want.rows
+
+    @pytest.mark.parametrize(
+        "k,row_of,col_of,message",
+        [
+            (0, (), (), "dimension mismatch"),
+            (True, (0,), (0,), "dimension mismatch"),
+            (1, [0], [0], "row and column words must be tuples of equal length"),
+            (1, (0,), [0], "row and column words must be tuples of equal length"),
+            (1, (0, 0), (0,), "row and column words must be tuples of equal length"),
+            (2, (0, 2), (0, 1), "row and column indices must be ints in range(2)"),
+            (2, (0, 1), (-1, 1), "row and column indices must be ints in range(2)"),
+            (2, (0, True), (0, 1), "row and column indices must be ints in range(2)"),
+            (2, (0, 1.0), (0, 1), "row and column indices must be ints in range(2)"),
+            (1, (), (), "row 1 is empty"),
+            (2, (0, 0), (0, 1), "row 2 is empty"),
+            (2, (0, 1), (1, 1), "column 1 is empty"),
+        ],
+    )
+    def test_word_faults(self, k, row_of, col_of, message):
+        with pytest.raises(InvalidMatrix) as exc:
+            BicompMatrix(k, row_of, col_of)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("entry", [True, 1.0])
     def test_bool_and_float_entries_are_invalid(self, entry):
         # True and 1.0 compare equal to 1, so only a type check tells them apart
@@ -274,6 +303,9 @@ class TestPosetCorrespondence:
     def test_requires_upper_triangular(self):
         with pytest.raises(NotUpperTriangular):
             poset_of_matrix(matrix_of_config(SQREC8))
+        # element 1 below the diagonal, in cell (1, 0)
+        with pytest.raises(NotUpperTriangular):
+            IntervalOrder(BicompMatrix(2, (1, 0), (0, 1)))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_round_trip(self, n):
@@ -417,6 +449,17 @@ class TestCounts:
         for n in (2, 3, 4):
             assert sum(1 for _ in enumerate_minanz(n, n)) == count_sqrec(n)
 
+    def test_minanz_guard_charges_the_exact_count(self):
+        # sum_k k! S(m-1, k) * k! S(n-1, k), pairs of ordered set partitions
+        # with k parts each; (4, 7) has 3613, more than Narayana(10, 4) = 1764
+        for s in range(2, 11):
+            for m in range(1, s):
+                got = sum(1 for _ in enumerate_minanz(m, s - m))
+                assert got == _count_all_minanz(m, s - m), (m, s - m)
+        assert sum(1 for _ in enumerate_minanz(4, 7, max_objects=3613)) == 3613
+        with pytest.raises(ResourceLimit):
+            next(enumerate_minanz(4, 7, max_objects=3612))
+
     def test_stirling(self):
         assert stirling2(0, 0) == 1
         assert stirling2(4, 2) == 7
@@ -459,5 +502,5 @@ class TestNonzeroStar:
 
             return count(0, 0, 0)
 
-        for n in (2, 3, 4):
+        for n in range(2, 7):
             assert count_nonzero_star(n).count == walks(n)

@@ -8,8 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sandnara.classes import BicompMatrix, config_of_matrix, matrix_of_config
-from sandnara.errors import NotRecurrent, SandnaraError
+from sandnara.classes import (
+    BicompMatrix,
+    IntervalOrder,
+    config_of_matrix,
+    config_of_poset,
+    dual_poset,
+    enumerate_minanz,
+    matrix_of_config,
+    matrix_of_poset,
+    poset_of_matrix,
+)
+from sandnara.errors import NotRecurrent, NotUpperTriangular, SandnaraError
 from sandnara.kn import DyckPath, KnConfig, diag, diag_from_dyck, dyck_of, enumerate_dyck
 from sandnara.polyomino import (
     CellSet,
@@ -22,11 +32,16 @@ from sandnara.sandpile import BipartiteConfig, burn, cell_image, decorate, stabi
 
 from sandpile_oracles import (
     burn_waves,
+    chain_of_rows,
+    dual_chain,
+    heights_of_chain,
     heights_of_matrix,
     kn_diag_profiles,
     kn_dyck_word,
     kn_heights_of_dyck,
+    matrix_rows_of_config,
     profiles_by_column_scan,
+    rows_of_chain,
     sorted_cell_profiles,
     stabilize_sweeps,
 )
@@ -84,9 +99,11 @@ def cell_sets(draw):
 
 
 @st.composite
-def bicomp_matrices(draw):
+def bicomp_matrices(draw, upper=False):
     """A k x k bicomposition matrix on {1..n-1}, 2 <= n <= 12: two random
-    surjections onto k blocks give each element its row and column."""
+    surjections onto k blocks give each element its row and column.  With
+    upper=True the matrix is upper-triangular: the first element drawn for
+    each row sits on the diagonal, the others on or right of it."""
     ground = draw(st.integers(1, 11))
     k = draw(st.integers(1, ground))
 
@@ -97,7 +114,17 @@ def bicomp_matrices(draw):
             for pos, x in enumerate(labels)
         }
 
-    rows, cols = surjection(), surjection()
+    rows = surjection()
+    if upper:
+        cols, on_diagonal = {}, set()
+        for x in draw(st.permutations(range(1, ground + 1))):
+            if rows[x] in on_diagonal:
+                cols[x] = draw(st.integers(rows[x], k - 1))
+            else:
+                on_diagonal.add(rows[x])
+                cols[x] = rows[x]
+    else:
+        cols = surjection()
     cells = [[set() for _ in range(k)] for _ in range(k)]
     for x in range(1, ground + 1):
         cells[rows[x]][cols[x]].add(x)
@@ -134,6 +161,64 @@ class TestAgainstOracles:
         cfg = config_of_matrix(mat)
         assert cfg.heights == heights_of_matrix(mat.rows)
         assert matrix_of_config(cfg) == mat
+        check_matrix_and_poset(mat)
+
+    @DIFFERENTIAL
+    @given(bicomp_matrices(upper=True))
+    def test_poset_maps(self, mat):
+        check_matrix_and_poset(mat)
+
+    def test_matrix_and_poset_maps_exhaustive(self):
+        # every bicomposition matrix on {1..n-1}, n <= 5, is the image of
+        # exactly one square minanz state
+        for n in range(2, 6):
+            for cfg in enumerate_minanz(n, n):
+                mat = matrix_of_config(cfg)
+                assert config_of_matrix(mat) == cfg
+                check_matrix_and_poset(mat)
+
+
+def _same_value(a, b):
+    assert a == b and hash(a) == hash(b)
+
+
+def _chain_json(n, downsets, levels):
+    return {
+        "n": n,
+        "downsets": [sorted(d) for d in downsets],
+        "levels": [sorted(lv) for lv in levels],
+    }
+
+
+def check_matrix_and_poset(mat):
+    """The word-based matrix and poset maps on one matrix against the
+    set-based references, through every construction route."""
+    rows = mat.rows
+    k = len(rows)
+    assert mat.to_json() == {"k": k, "rows": [[sorted(c) for c in r] for r in rows]}
+    _same_value(BicompMatrix.from_json(mat.to_json()), mat)
+    _same_value(BicompMatrix.from_lists(rows), mat)
+    cfg = config_of_matrix(mat)
+    assert cfg.heights == heights_of_matrix(rows)
+    assert matrix_rows_of_config(cfg.n, cfg.heights) == rows
+    _same_value(matrix_of_config(cfg), mat)
+    upper = not any(rows[i][j] for i in range(k) for j in range(i))
+    assert mat.is_upper_triangular() == upper
+    if not upper:
+        with pytest.raises(NotUpperTriangular):
+            poset_of_matrix(mat)
+        return
+    chain = chain_of_rows(rows)
+    order = poset_of_matrix(mat)
+    assert (order.n, order.downsets, order.levels) == chain
+    assert order.to_json() == _chain_json(*chain)
+    _same_value(IntervalOrder.from_json(order.to_json()), order)
+    _same_value(IntervalOrder.from_relation(order.n, order.relation_pairs()), order)
+    assert matrix_of_poset(order).rows == rows_of_chain(*chain)
+    dual = dual_poset(order)
+    assert (dual.n, dual.downsets, dual.levels) == dual_chain(*chain)
+    assert dual.to_json() == _chain_json(*dual_chain(*chain))
+    assert config_of_poset(order, cfg.n).heights == heights_of_chain(cfg.n, *chain[1:])
 
 
 # -- conversions between polyomino representations ---------------------------
