@@ -17,6 +17,7 @@ and the heights of the configurations are prefix counts of the two words.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -33,8 +34,7 @@ from .errors import (
 from .polyomino import narayana_number
 from .sandpile import (
     BipartiteConfig,
-    TopplingTrace,
-    canon_top,
+    burn,
     enumerate_rec_star,
     level,
     _distinct_perms,
@@ -92,10 +92,10 @@ def wave(config: BipartiteConfig, vertex: int) -> int:
     """Wave index of a vertex in the canonical toppling (1-based)."""
     if not 1 <= vertex <= config.m + config.n - 1:
         raise ValueError(f"vertex {vertex} out of range")
-    w = canon_top(config).wave_index().get(vertex)
-    if w is None:
+    pos = burn(config).wave_word[vertex]
+    if pos < 0:
         raise VertexNotToppled(f"v_{vertex} never topples")
-    return w
+    return pos // 2 + 1
 
 
 _SQUARE_ONLY = "top-heavy is defined for square configurations only"
@@ -110,19 +110,17 @@ def is_top_heavy(config: BipartiteConfig) -> bool:
     """
     if config.m != config.n:  # before burning: non-square never reaches NotRecurrent
         raise NotMinanz(_SQUARE_ONLY)
-    return _top_heavy_trace(config, _require_recurrent(config).trace)
-
-
-def _top_heavy_trace(config: BipartiteConfig, trace: TopplingTrace) -> bool:
-    """is_top_heavy for a configuration already known to be recurrent, given
-    its wave trace."""
-    if config.m != config.n:
-        raise NotMinanz(_SQUARE_ONLY)
+    word = _require_recurrent(config).wave_word
     if not _minanz_heights(config):
         return False
-    wave_of = trace.wave_index().get
-    n = config.n
-    return all(wave_of(x) <= wave_of(n + x) for x in range(1, n))
+    return all(map(operator.le, *_block_words(word, config.n)))
+
+
+def _block_words(word: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The block index p // 2 of the wave at trace position p, for the top
+    vertices v_1..v_{n-1} and for the bottom vertices v_{n+1}..v_{2n-1} of a
+    square recurrent state, given its wave word; v_n is left out."""
+    return tuple(p // 2 for p in word[1:n]), tuple(p // 2 for p in word[n + 1 :])
 
 
 # -- bicomposition matrices ------------------------------------------------------
@@ -150,14 +148,20 @@ class BicompMatrix:
             raise InvalidMatrix("dimension mismatch")
         if not (isinstance(rows, tuple) and isinstance(cols, tuple)) or len(rows) != len(cols):
             raise InvalidMatrix("row and column words must be tuples of equal length")
-        if not all(type(a) is int and 0 <= a < k for a in rows + cols):  # no bools
+        letters = rows + cols
+        if letters and (
+            not set(map(type, letters)) <= {int}  # no bools
+            or min(letters) < 0
+            or max(letters) >= k
+        ):
             raise InvalidMatrix(f"row and column indices must be ints in range({k})")
         used_rows, used_cols = set(rows), set(cols)
-        for i in range(k):
-            if i not in used_rows:
-                raise InvalidMatrix(f"row {i + 1} is empty")
-            if i not in used_cols:
-                raise InvalidMatrix(f"column {i + 1} is empty")
+        if len(used_rows) < k or len(used_cols) < k:
+            for i in range(k):
+                if i not in used_rows:
+                    raise InvalidMatrix(f"row {i + 1} is empty")
+                if i not in used_cols:
+                    raise InvalidMatrix(f"column {i + 1} is empty")
 
     @property
     def ground_size(self) -> int:
@@ -220,21 +224,19 @@ def matrix_of_config(config: BipartiteConfig) -> BicompMatrix:
     P_i are the top waves, Q_j the bottom waves of the canonical toppling;
     the final bottom wave is always {v_n} and is dropped.  The wave at
     position p of the trace has block index p // 2: a top vertex v_x gives
-    the row of x, a bottom vertex v_{n+x} its column, and v_n gives nothing.
+    the row of x, a bottom vertex v_{n+x} its column, and v_n gives nothing;
+    both are read off the wave word of the burning run.
     """
     n = config.n
     if config.m != n:
         raise NotMinanz("matrix correspondence needs a square configuration")
-    waves = _require_recurrent(config).trace.waves
+    burnt = _require_recurrent(config)
     if not _minanz_heights(config):
         raise NotMinanz(f"{config!r} is not minanz")
+    waves = burnt.trace.waves
     if waves[-1] != ("bottom", frozenset({n})):
         raise NotMinanz("canonical toppling must end with the wave {v_n}")
-    block = [0] * (2 * n)  # block[v]: block index of the wave holding v_v
-    for p, (_, s) in enumerate(waves):
-        for v in s:
-            block[v] = p // 2
-    return BicompMatrix(len(waves) // 2, tuple(block[1:n]), tuple(block[n + 1 :]))
+    return BicompMatrix(len(waves) // 2, *_block_words(burnt.wave_word, n))
 
 
 def config_of_matrix(mat: BicompMatrix) -> BipartiteConfig:

@@ -40,10 +40,10 @@ from .classes import (
     count_sqrec,
     enumerate_minanz,
     is_minanz,
+    is_top_heavy,
     matrix_of_config,
     poset_of_matrix,
     _minanz_heights,
-    _top_heavy_trace,
 )
 from .errors import ResourceLimit, SandnaraError
 from .kn import (
@@ -185,7 +185,7 @@ def cmd_check(args) -> int:
     if result and args.what == "minanz":
         result = _minanz_heights(cfg)
     elif result and args.what == "top-heavy":
-        result = _top_heavy_trace(cfg, burnt.trace)
+        result = is_top_heavy(cfg)  # reads the run kept on cfg
     out["result"] = result
     if args.verbose and burnt is not None:
         out["trace"] = burnt.trace.to_json()

@@ -40,12 +40,16 @@ def object_cap(override: int | None = None) -> int:
     return cap
 
 
-def guard_count(count: int, max_objects: int | None, what: str, unit: str = "objects") -> int:
+def guard_count(
+    count: int, max_objects: int | None, what: str, unit: str = "objects", at_least: bool = False
+) -> int:
     """Raise ResourceLimit when a computation of `count` units (objects
-    enumerated, or cells held) exceeds the cap."""
+    enumerated, or cells held) exceeds the cap.  With `at_least`, `count` is
+    a lower bound on the cost, and the message says so."""
     cap = object_cap(max_objects)
     if count > cap:
-        raise ResourceLimit(f"{what}: {count} {unit} exceeds cap {cap}")
+        bound = "at least " if at_least else ""
+        raise ResourceLimit(f"{what}: {bound}{count} {unit} exceeds cap {cap}")
     return count
 
 

@@ -45,7 +45,7 @@ class KnConfig:
             raise ValueError("need n >= 2")
         if len(heights) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} heights")
-        if any(h < 0 for h in heights):
+        if min(heights) < 0:
             raise ValueError("heights must be non-negative")
 
     def is_stable(self) -> bool:

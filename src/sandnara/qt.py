@@ -326,7 +326,9 @@ def _transfer_plan(
     the moves of each new row are built, so an oversized box is refused
     before any large allocation.  The live set of a row depends only on the
     live set of the row above, so the scan stops at the first row that
-    repeats its predecessor.
+    repeats its predecessor.  A check that refuses before the scan ends
+    knows only part of the estimate and reports its figure as a lower bound
+    ("at least N cells"); the last check reports the full estimate.
     """
     if m < 1 or n_max < 1:
         raise ValueError("need m, n >= 1")
@@ -336,22 +338,25 @@ def _transfer_plan(
     box = _transfer_box(m, n_max)
     what = f"transfer matrix F_{{{m},{n_max}}}"
 
-    def guard(states: int, weight: int) -> int:
+    def guard(states: int, weight: int, final: bool) -> int:
         cells = weight * (column_cells + states * box)
-        return guard_count(cells, max_objects, what, "cells")
+        return guard_count(cells, max_objects, what, "cells", at_least=not final)
 
-    guard(m, 1)  # a lower bound, cheap before the coefficient bound
+    guard(m, 1, False)  # a lower bound, cheap before the coefficient bound
     dtype = _coeff_dtype(narayana_number(m + n_max, m))
     weight = _CELL_WEIGHT[dtype]
-    cells = guard(m, weight)
+    cells = guard(m, weight, n_max == 1)
     live = {(c, m, m - 1, 1) for c in range(1, m + 1)}
     moves: dict[State, list[Move]] = {}
-    for _ in range(n_max - 1):
+    for row in range(1, n_max):
         for st in live - moves.keys():
             moves[st] = _transfer_moves(st)
         nxt = {tgt for st in live for tgt, _, _ in moves[st]}
-        cells = max(cells, guard(len(live) + len(nxt), weight))
-        if nxt == live:
+        repeats = nxt == live
+        # every earlier check passed, so a refusal by the last one reports
+        # the maximum over all rows, the full estimate
+        cells = max(cells, guard(len(live) + len(nxt), weight, repeats or row == n_max - 1))
+        if repeats:
             break
         live = nxt
     return moves, dtype, cells

@@ -12,8 +12,10 @@ when this returns to the start with every vertex toppling once.  The
 stabilization is scheduled canonically as alternating parallel waves -- all
 unstable bottoms, then all unstable tops, and so on -- because the wave
 sizes of a recurrent state equal the bounce run lengths of its polyomino
-image.  `burn` performs this run once and returns both the verdict and the
-wave trace, so each predicate or map reads what it needs from one run.
+image.  `burn` performs this run once per configuration object and keeps
+it on the object: the verdict, the wave trace and the wave word (the trace
+position of each vertex's wave), so every predicate or map on one
+configuration reads what it needs from one run.
 
 On K_{m,n} the run needs no rescans.  Every vertex of one side receives the
 same grains in a wave, and from a stable start no vertex fires twice: a
@@ -32,7 +34,8 @@ ones the literal wave-by-wave process produces.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 from .config import guard_count
@@ -59,6 +62,8 @@ class BipartiteConfig:
     m: int
     n: int
     heights: Heights
+    # the burning run, written by `burn` only; not part of the value
+    _burnt: BurnResult | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         heights = tuple(self.heights)
@@ -67,8 +72,17 @@ class BipartiteConfig:
             raise ValueError("need m, n >= 1")
         if len(heights) != self.m + self.n - 1:
             raise ValueError(f"expected {self.m + self.n - 1} heights, got {len(heights)}")
-        if any(h < 0 for h in heights):
+        if min(heights) < 0:
             raise ValueError("heights must be non-negative")
+
+    def __getstate__(self):
+        # the value only: a copy or a pickle starts unburned
+        return [self.m, self.n, self.heights]
+
+    def __setstate__(self, state):
+        for name, value in zip(("m", "n", "heights"), state):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_burnt", None)
 
     @property
     def top(self) -> Heights:
@@ -114,10 +128,6 @@ class TopplingTrace:
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for _, s in self.waves)
-
-    def wave_index(self) -> dict[int, int]:
-        """Vertex -> 1-based wave index i with the vertex in Q_i or P_i."""
-        return {v: pos // 2 + 1 for pos, (_, s) in enumerate(self.waves) for v in s}
 
     def to_json(self) -> dict:
         return {
@@ -190,10 +200,16 @@ def topple_random(
 
 
 class BurnResult(NamedTuple):
-    """Outcome of the burning run from a stable configuration."""
+    """Outcome of the burning run from a stable configuration.
+
+    `wave_word[v]` is the position in `trace.waves` of the wave in which v_v
+    fires, for v = 0..m+n-1, and -1 for a vertex that never fires (always
+    the sink v_0, whose one toppling starts the run).
+    """
 
     recurrent: bool
     trace: TopplingTrace
+    wave_word: tuple[int, ...]
 
 
 def burn(config: BipartiteConfig) -> BurnResult:
@@ -207,7 +223,14 @@ def burn(config: BipartiteConfig) -> BurnResult:
     when its height is at least n-b, and nothing fires twice (module
     docstring), so each wave is the next slice of its side's sorted order.
     Raises ValueError on an unstable configuration, read off the same sort.
+
+    The result is kept on the configuration object, so later calls on the
+    same object return it without a second run; an unstable configuration
+    keeps nothing and raises on every call.
     """
+    burnt = config._burnt
+    if burnt is not None:
+        return burnt
     m, n = config.m, config.n
     h = (0,) + config.heights  # h[v] is the height of v_v
     key = h.__getitem__
@@ -216,6 +239,7 @@ def burn(config: BipartiteConfig) -> BurnResult:
     if h[bottoms[0]] >= m or (tops and h[tops[0]] >= n):
         raise ValueError("canonical toppling requires a stable configuration")
     waves: list[Wave] = []
+    word = [-1] * (m + n)
     b = t = 0  # bottoms and tops fired so far
     while True:
         start, need = b, m - 1 - t
@@ -225,14 +249,24 @@ def burn(config: BipartiteConfig) -> BurnResult:
             break
         # labels inserted in ascending order, as a scan of the side inserts
         # them, so each set iterates and prints as the scan's would
-        waves.append(("bottom", frozenset(sorted(bottoms[start:b]))))
+        pos, fired = len(waves), bottoms[start:b]
+        fired.sort()
+        for v in fired:
+            word[v] = pos
+        waves.append(("bottom", frozenset(fired)))
         start, need = t, n - b
         while t < m - 1 and h[tops[t]] >= need:
             t += 1
         if t == start:
             break
-        waves.append(("top", frozenset(sorted(tops[start:t]))))
-    return BurnResult(b + t == m + n - 1, TopplingTrace(tuple(waves)))
+        fired = tops[start:t]
+        fired.sort()
+        for v in fired:
+            word[v] = pos + 1
+        waves.append(("top", frozenset(fired)))
+    burnt = BurnResult(b + t == m + n - 1, TopplingTrace(tuple(waves)), tuple(word))
+    object.__setattr__(config, "_burnt", burnt)
+    return burnt
 
 
 def canon_top(config: BipartiteConfig) -> TopplingTrace:
@@ -339,12 +373,12 @@ class DecoratedPolyomino:
     def __post_init__(self):
         m, n = self.poly.m, self.poly.n
         runs = self.poly.bounce_seq()
-        if tuple(len(s) for s in self.A) != ebounce(runs):
+        if tuple(map(len, self.A)) != ebounce(runs):
             raise ValueError("A part sizes must match the west bounce runs")
-        if tuple(len(s) for s in self.B) != obounce(runs):
+        if tuple(map(len, self.B)) != obounce(runs):
             raise ValueError("B part sizes must match the south bounce runs")
-        got_a = sorted(x for s in self.A for x in s)
-        got_b = sorted(x for s in self.B for x in s)
+        got_a = sorted(chain.from_iterable(self.A))
+        got_b = sorted(chain.from_iterable(self.B))
         if got_a != list(range(1, m)):
             raise ValueError("A must partition {1..m-1}")
         if got_b != list(range(m, m + n)):

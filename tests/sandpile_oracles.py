@@ -22,7 +22,13 @@ that shares nothing with them:
   to;
 * `kn_diag_profiles`, `kn_dyck_word` and `kn_heights_of_dyck` are the
   complete-graph diagram by a cell loop, its Dyck path by a loop over the
-  lower profile, and the inverse by a scan for the right end of each row.
+  lower profile, and the inverse by a scan for the right end of each row;
+* `wave_word_of` is the wave word of `burn` read off the waves of
+  `burn_waves`;
+* `check_bipartite_heights`, `check_kn_heights`, `check_decoration` and
+  `check_bicomp_words` are the constructor checks of the value types written
+  element by element, in the order the library reports faults, with the
+  library's messages.
 
 The complete-graph references raise the exception types of the library maps
 on inputs outside their domains.
@@ -30,8 +36,8 @@ on inputs outside their domains.
 
 from __future__ import annotations
 
-from sandnara.errors import NotRecurrent, NotSorted
-from sandnara.polyomino import _profiles_valid
+from sandnara.errors import InvalidMatrix, NotRecurrent, NotSorted
+from sandnara.polyomino import _profiles_valid, ebounce, obounce
 
 
 def burn_waves(m: int, n: int, heights) -> tuple[bool, tuple]:
@@ -62,6 +68,12 @@ def burn_waves(m: int, n: int, heights) -> tuple[bool, tuple]:
         tuple(h) == tuple(heights) and sum(len(s) for _, s in waves) == m + n - 1
     )
     return recurrent, tuple(waves)
+
+
+def wave_word_of(m: int, n: int, waves) -> tuple[int, ...]:
+    """For v = 0..m+n-1 the position of the wave holding v_v, else -1."""
+    where = {v: pos for pos, (_, s) in enumerate(waves) for v in s}
+    return tuple(where.get(v, -1) for v in range(m + n))
 
 
 def stabilize_sweeps(m: int, n: int, heights) -> tuple[tuple, tuple]:
@@ -249,3 +261,58 @@ def kn_heights_of_dyck(word: str) -> tuple:
     x.reverse()
     _kn_sorted_recurrent(n, x)
     return tuple(x)
+
+
+# -- constructor checks, element by element ---------------------------------
+
+
+def check_bipartite_heights(m: int, n: int, heights) -> None:
+    """The checks of `BipartiteConfig`."""
+    heights = tuple(heights)
+    if m < 1 or n < 1:
+        raise ValueError("need m, n >= 1")
+    if len(heights) != m + n - 1:
+        raise ValueError(f"expected {m + n - 1} heights, got {len(heights)}")
+    if any(h < 0 for h in heights):
+        raise ValueError("heights must be non-negative")
+
+
+def check_kn_heights(n: int, heights) -> None:
+    """The checks of `KnConfig`."""
+    heights = tuple(heights)
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if len(heights) != n - 1:
+        raise ValueError(f"expected {n - 1} heights")
+    if any(h < 0 for h in heights):
+        raise ValueError("heights must be non-negative")
+
+
+def check_decoration(poly, A, B) -> None:
+    """The checks of `DecoratedPolyomino`."""
+    m, n = poly.m, poly.n
+    runs = poly.bounce_seq()
+    if tuple(len(s) for s in A) != ebounce(runs):
+        raise ValueError("A part sizes must match the west bounce runs")
+    if tuple(len(s) for s in B) != obounce(runs):
+        raise ValueError("B part sizes must match the south bounce runs")
+    if sorted(x for s in A for x in s) != list(range(1, m)):
+        raise ValueError("A must partition {1..m-1}")
+    if sorted(x for s in B for x in s) != list(range(m, m + n)):
+        raise ValueError("B must partition {m..m+n-1}")
+
+
+def check_bicomp_words(k, rows, cols) -> None:
+    """The checks of `BicompMatrix`."""
+    if not (isinstance(k, int) and not isinstance(k, bool)) or k < 1:
+        raise InvalidMatrix("dimension mismatch")
+    if not (isinstance(rows, tuple) and isinstance(cols, tuple)) or len(rows) != len(cols):
+        raise InvalidMatrix("row and column words must be tuples of equal length")
+    if not all(type(a) is int and 0 <= a < k for a in rows + cols):
+        raise InvalidMatrix(f"row and column indices must be ints in range({k})")
+    for i in range(k):
+        if i not in set(rows):
+            raise InvalidMatrix(f"row {i + 1} is empty")
+        if i not in set(cols):
+            raise InvalidMatrix(f"column {i + 1} is empty")
+

@@ -28,11 +28,22 @@ from sandnara.polyomino import (
     cells_from_heights,
     enumerate_para,
 )
-from sandnara.sandpile import BipartiteConfig, burn, cell_image, decorate, stabilize
+from sandnara.sandpile import (
+    BipartiteConfig,
+    DecoratedPolyomino,
+    burn,
+    cell_image,
+    decorate,
+    stabilize,
+)
 
 from sandpile_oracles import (
     burn_waves,
     chain_of_rows,
+    check_bicomp_words,
+    check_bipartite_heights,
+    check_decoration,
+    check_kn_heights,
     dual_chain,
     heights_of_chain,
     heights_of_matrix,
@@ -44,6 +55,7 @@ from sandpile_oracles import (
     rows_of_chain,
     sorted_cell_profiles,
     stabilize_sweeps,
+    wave_word_of,
 )
 
 SIZES = st.integers(1, 12)
@@ -135,8 +147,15 @@ class TestAgainstOracles:
     @DIFFERENTIAL
     @given(stable_states())
     def test_burn(self, cfg):
-        burnt = burn(cfg)
-        assert (burnt.recurrent, burnt.trace.waves) == burn_waves(cfg.m, cfg.n, cfg.heights)
+        check_burn(cfg)
+
+    def test_burn_exhaustive(self):
+        for s in range(2, 8):
+            for m in range(1, s):
+                n = s - m
+                for t in itertools.product(range(n), repeat=m - 1):
+                    for b in itertools.product(range(m), repeat=n):
+                        check_burn(BipartiteConfig(m, n, t + b))
 
     @DIFFERENTIAL
     @given(loaded_states())
@@ -173,6 +192,14 @@ class TestAgainstOracles:
                 mat = matrix_of_config(cfg)
                 assert config_of_matrix(mat) == cfg
                 check_matrix_and_poset(mat)
+
+
+def check_burn(cfg):
+    """Verdict, waves and wave word of `burn` against the literal waves."""
+    burnt = burn(cfg)
+    recurrent, waves = burn_waves(cfg.m, cfg.n, cfg.heights)
+    assert (burnt.recurrent, burnt.trace.waves) == (recurrent, waves)
+    assert burnt.wave_word == wave_word_of(cfg.m, cfg.n, waves)
 
 
 def _same_value(a, b):
@@ -336,3 +363,63 @@ class TestConversionsAgainstOracles:
     @given(dyck_words())
     def test_diag_from_dyck(self, word):
         check_diag_from_dyck(word)
+
+
+# -- constructor checks against their element-by-element forms ---------------
+
+
+def _fault(f, *args):
+    """None when f(*args) returns, else the type and message of its error."""
+    try:
+        f(*args)
+    except (SandnaraError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _same_fault(cls, oracle, *args):
+    assert _fault(cls, *args) == _fault(oracle, *args), args
+
+
+def _words(letters, max_len):
+    for size in range(max_len + 1):
+        yield from itertools.product(letters, repeat=size)
+
+
+def _decorations(lo, hi, parts):
+    """Sequences of up to `parts` sets of at most two labels in lo..hi."""
+    sets = [
+        frozenset(c) for size in range(3) for c in itertools.combinations(range(lo, hi + 1), size)
+    ]
+    for count in range(parts + 1):
+        yield from itertools.product(sets, repeat=count)
+
+
+class TestCheckForms:
+    """Each constructor reports the same fault, or none, as the element-by-
+    element form of its checks, on every small input, out-of-range values
+    included."""
+
+    def test_bipartite_config(self):
+        for m, n in itertools.product(range(4), repeat=2):
+            for heights in _words(range(-1, 3), 5):
+                _same_fault(BipartiteConfig, check_bipartite_heights, m, n, heights)
+
+    def test_kn_config(self):
+        for n in range(5):
+            for heights in _words(range(-1, 3), 4):
+                _same_fault(KnConfig, check_kn_heights, n, heights)
+
+    def test_decorated_polyomino(self):
+        for m, n in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]:
+            for poly in enumerate_para(m, n):
+                for A in _decorations(0, m, 2):
+                    for B in _decorations(m - 1, m + n, 2):
+                        _same_fault(DecoratedPolyomino, check_decoration, poly, A, B)
+
+    def test_bicomp_matrix(self):
+        for k in range(4):
+            for size, letters in [(2, (-1, 0, 1, 2, True, 1.0)), (3, (-1, 0, 1, 2))]:
+                for rows in _words(letters, size):
+                    for cols in itertools.product(letters, repeat=len(rows)):
+                        _same_fault(BicompMatrix, check_bicomp_words, k, rows, cols)

@@ -1,5 +1,6 @@
 """q,t-Narayana polynomials: enumeration, closed forms, transfer matrix, swap."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -255,8 +256,29 @@ class TestTransferMatrix:
 
     def test_box_over_the_estimate_refused(self, monkeypatch):
         monkeypatch.delenv("SANDPILE_MAX_OBJECTS", raising=False)
-        with pytest.raises(ResourceLimit, match=r"F_\{8,100\}: \d+ cells exceeds cap"):
+        with pytest.raises(ResourceLimit, match=r"F_\{8,100\}: at least \d+ cells exceeds cap"):
             transfer_matrix_F(8, 100)
+
+    # (8, 100) needs object dtype; its full estimate is 1263651450 cells
+    F_8_100 = 1263651450
+
+    @pytest.mark.parametrize("cap", [10**8, 2 * 10**8, 362726250])
+    def test_early_refusal_reports_a_lower_bound(self, cap):
+        # a check that refuses before the row scan ends knows only part of
+        # the estimate; only the plan is built, the sweep is never run
+        with pytest.raises(ResourceLimit) as exc:
+            qt._transfer_plan(8, 100, cap)
+        found = re.fullmatch(
+            rf"transfer matrix F_\{{8,100\}}: at least (\d+) cells exceeds cap {cap}",
+            str(exc.value),
+        )
+        assert found, str(exc.value)
+        assert cap < int(found[1]) < self.F_8_100
+
+    def test_last_check_reports_the_full_estimate(self):
+        assert qt._transfer_plan(8, 100, self.F_8_100)[2] == self.F_8_100
+        with pytest.raises(ResourceLimit, match=f": {self.F_8_100} cells exceeds cap {self.F_8_100 - 1}$"):
+            qt._transfer_plan(8, 100, self.F_8_100 - 1)
 
     def test_cost_estimate_bounds_every_block(self, monkeypatch):
         # every block the sweep builds fits the estimate's per-state box

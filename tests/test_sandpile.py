@@ -9,12 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sandnara import sandpile
-from sandnara.classes import is_minanz, is_top_heavy, matrix_of_config
+from sandnara.classes import (
+    config_of_matrix,
+    config_of_poset,
+    is_minanz,
+    is_top_heavy,
+    matrix_of_config,
+    poset_of_matrix,
+    wave,
+)
 from sandnara.errors import NotRecurrent, ResourceLimit
 from sandnara.polyomino import HeightSeqs, cells_from_heights, para_from_paths
 from sandnara.sandpile import (
     BipartiteConfig,
     DecoratedPolyomino,
+    burn,
     canon_top,
     cell_image,
     config_of_para,
@@ -176,6 +185,73 @@ class TestOneBurn:
         with pytest.raises(NotRecurrent):
             fn(BipartiteConfig(8, 8, (0,) * 15))
         assert len(burns) == 1
+
+
+class TestBurnMemo:
+    """The burning run is kept on the configuration object that was burnt."""
+
+    TOP_HEAVY = TestOneBurn.TOP_HEAVY
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Configurations that `burn` actually ran on (not answered from
+        the memo)."""
+        ran = []
+        real = sandpile.burn
+
+        def counted(config):
+            if config._burnt is None:
+                ran.append(config)
+            return real(config)
+
+        monkeypatch.setattr(sandpile, "burn", counted)
+        return ran
+
+    def fresh(self):
+        return BipartiteConfig(8, 8, self.TOP_HEAVY.heights)
+
+    def test_same_result_object(self):
+        cfg = self.fresh()
+        assert cfg._burnt is None
+        burnt = burn(cfg)
+        assert burn(cfg) is burnt and cfg._burnt is burnt
+
+    def test_maps_share_one_run(self, runs):
+        cfg = self.fresh()
+        assert is_recurrent(cfg) and is_minanz(cfg) and is_top_heavy(cfg)
+        decorate(cfg)
+        canon_top(cfg)
+        matrix_of_config(cfg)
+        assert [wave(cfg, v) for v in (1, 2, 8)] == [2, 1, 4]
+        assert runs == [cfg]
+
+    def test_equal_objects_burn_separately(self, runs):
+        a, b = self.fresh(), self.fresh()
+        assert is_recurrent(a) and is_recurrent(b)
+        assert len(runs) == 2 and runs[0] is a and runs[1] is b
+
+    def test_unstable_keeps_nothing(self):
+        cfg = BipartiteConfig(8, 8, (9,) + self.TOP_HEAVY.heights[1:])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="requires a stable configuration"):
+                burn(cfg)
+            assert cfg._burnt is None
+
+    def test_outputs_come_back_unburned(self):
+        cfg = self.fresh()
+        mat = matrix_of_config(cfg)
+        dec = decorate(cfg)
+        outputs = [
+            stabilize(BipartiteConfig(3, 4, (2, 0, 3, 2, 1, 3)))[0],
+            stabilize(cfg)[0],
+            undecorate(dec),
+            config_of_matrix(mat),
+            config_of_poset(poset_of_matrix(mat), 8),
+            config_of_para(dec.poly),
+        ]
+        for out in outputs:
+            assert out._burnt is None, out
+        assert outputs[1] == outputs[3] == outputs[4] == cfg
 
 
 class TestIncDecomp:

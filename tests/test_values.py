@@ -1,13 +1,28 @@
 """The value-type contract of the configurations and the polyomino."""
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
 from sandnara.errors import PathsCross
 from sandnara.kn import KnConfig
 from sandnara.polyomino import ParaPolyomino
-from sandnara.sandpile import BipartiteConfig
+from sandnara.sandpile import BipartiteConfig, burn
+
+
+def _seen(value):
+    """What a caller sees of a value, round trips included."""
+    return (
+        hash(value),
+        repr(value),
+        value.to_json(),
+        pickle.dumps(value),
+        pickle.loads(pickle.dumps(value)),
+        copy.deepcopy(value),
+        dataclasses.replace(value),
+    )
 
 
 @pytest.mark.parametrize(
@@ -56,3 +71,13 @@ def test_value_contract(cls, args, text, bad, error, message):
     with pytest.raises(error) as exc:
         cls(*bad)
     assert str(exc.value) == message
+    seen = _seen(value)
+    for copied in seen[-3:]:
+        assert copied == value and hash(copied) == hash(value)
+    if cls is BipartiteConfig:
+        # the burning run kept on the object is not part of the value
+        burnt = burn(value)
+        assert value._burnt is burnt
+        assert value == same and hash(value) == hash(same)
+        assert _seen(value) == seen
+        assert all(copied._burnt is None for copied in _seen(value)[-3:])
