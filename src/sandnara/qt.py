@@ -6,21 +6,22 @@ it here:
 
 * `narayana_poly` visits every polyomino: it takes the profile pairs in
   batches from the canonical enumeration, computes area and bounce weight
-  for a whole batch with numpy, and histograms packed (area, weight) keys;
+  for a whole batch with numpy, and counts each batch straight into one
+  dense (area, weight) block;
 * `transfer_matrix_F` runs a row-by-row dynamic program whose state carries
   the current row interval together with the bounce path position and its
   running weight, giving all of F_{m,1..n_max} in one sweep;
 * `rational_qt_series` expands the tabulated rational closed forms.
 
-The two routes that do not enumerate hold their coefficients as dense 2-D
-blocks with a degree offset, the representation of `BivarPoly` itself.
-Each uses int64 only under a proven coefficient bound, stated in its
-docstring, and object dtype (Python ints) otherwise; the output keeps that
-dtype, while `BivarPoly` arithmetic always runs in object dtype.  The
-transfer sweep is guarded by an up-front estimate of the memory it and its
-output hold, in 8-byte cells, checked against the object cap.  All three
-routes hand their result to `BivarPoly` as such a block (`narayana_poly`
-scatters its histogram into one).
+All three routes hold their coefficients as dense 2-D blocks with a degree
+offset, the representation of `BivarPoly` itself, and hand their result to
+`BivarPoly` as such a block.  Each uses int64 only under a proven
+coefficient bound, stated in its docstring; the two routes that do not
+enumerate fall back to object dtype (Python ints), while `narayana_poly`
+refuses a box whose count exceeds int64.  The output keeps that dtype,
+while `BivarPoly` arithmetic always runs in object dtype.  The transfer
+sweep is guarded by an up-front estimate of the memory it and its output
+hold, in 8-byte cells, checked against the object cap.
 
 Their agreement wherever two of them are feasible is the backbone of the
 verification suite.  The batch bounce weight is tested against the
@@ -35,7 +36,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import polyomino
 from .bivar import Block, BivarPoly, QtSeries, _sum_blocks
 from .config import Check, guard_count
 from .errors import NotInDomain
@@ -81,53 +81,40 @@ def _bounce_weights(top: np.ndarray, bot: np.ndarray) -> np.ndarray:
     return w
 
 
-def _sum_counts(parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Merge (sorted distinct keys, counts) pairs into one such pair,
-    adding the counts of equal keys."""
-    keys = np.concatenate([k for k, _ in parts])
-    counts = np.concatenate([c for _, c in parts])
-    order = np.argsort(keys, kind="stable")  # linear on presorted runs
-    keys = keys[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[first], np.add.reduceat(counts[order], first)
-
-
 def narayana_poly(m: int, n: int, max_objects: int | None = None) -> BivarPoly:
     """Sum of q^area t^bounce_weight over every polyomino in the m x n box.
 
     Every polyomino is visited: the profile pairs come in batches from the
-    canonical enumeration, and each batch is reduced to a histogram of the
-    packed key area * W + weight, where W = (m+1)(m+n) exceeds every bounce
-    weight (at most m terms x_r + y_r < m+n) and area <= mn.  The key is
-    exact in int64 for every box the bound check below admits.
+    canonical enumeration, read column-major (see `_bounce_weights`), so the
+    area is a sum of m contiguous column differences and every bounce round
+    compares contiguous columns.  Each batch is counted straight into one
+    dense int64 block indexed by (area - lo, weight - lo), lo = m + n - 1.
 
-    Each batch is read column-major (see `_bounce_weights`): the area is a
-    sum of m contiguous column differences and every bounce round compares
-    contiguous columns, where a row-major batch would walk short strided
-    rows.  The per-batch histograms, sorted (key, count) arrays from
-    `np.unique`, are merged in numpy whenever they hold the chunk bound's
-    worth of keys, so the pending ones stay within the batch memory bound.
+    Block shape: the area lies in [m + n - 1, mn], since a polyomino has at
+    least the m + n - 1 cells of a ribbon and at most the mn of the box.
+    The bounce weight lies in [m + n - 1, mn + (m-1)(m-2)/2]: it is the
+    telescoped sum over rounds r of x_r + y_r in `_bounce_weights`, where
+    round 0 gives (m - 1) + n, a later round r <= m - 1 has x_r <= m - 1 - r
+    (x falls by at least one per round) and y_r <= n - 1, and there are at
+    most m - 1 later rounds; the sum is at most
+    (m - 1 + n) + (m - 1)(n - 1) + (m - 2)(m - 1)/2 = mn + (m-1)(m-2)/2,
+    and at least the m + n - 1 of round 0, every term being >= 0.  So no
+    index is negative, and one past the block makes `np.add.at` raise
+    rather than wrap.
+
+    Bound: a cell counts polyominoes, so it is at most |Para_{m,n}|; a box
+    whose count exceeds int64 is refused before anything is enumerated.
     """
-    guard_count(count_para(m, n), max_objects, f"Para_{{{m},{n}}}")
-    W = (m + 1) * (m + n)
-    if (m * n + 1) * W > np.iinfo(np.int64).max:
-        raise ValueError(f"box m={m}, n={n} is too large for int64 histogram keys")
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
-    held = 0
+    count = count_para(m, n)
+    guard_count(count, max_objects, f"Para_{{{m},{n}}}")
+    if count > _INT64_LIMIT:
+        raise ValueError(f"box m={m}, n={n}: |Para| = {count} exceeds the int64 coefficient range")
+    lo = m + n - 1
+    block = np.zeros((m * n - lo + 1, m * n + (m - 1) * (m - 2) // 2 - lo + 1), dtype=np.int64)
     for top, bot in _profile_chunks(m, n):
         area = (top - bot).sum(axis=0, dtype=np.int64)
-        parts.append(np.unique(area * W + _bounce_weights(top, bot), return_counts=True))
-        held += parts[-1][0].size
-        if held >= polyomino._CHUNK_ROWS:
-            parts, held = [_sum_counts(parts)], 0
-    keys, counts = _sum_counts(parts)
-    area, weight = np.divmod(keys, W)
-    # keys are sorted, so area[0] and area[-1] bound the areas; the block
-    # has fewer cells than the key range area[0] * W .. area[-1] * W + W
-    a0, w0 = int(area[0]), int(weight.min())
-    block = np.zeros((int(area[-1]) - a0 + 1, int(weight.max()) - w0 + 1), dtype=np.int64)
-    block[area - a0, weight - w0] = counts
-    return BivarPoly._from_block(a0, w0, block)
+        np.add.at(block, (area - lo, _bounce_weights(top, bot) - lo), 1)
+    return BivarPoly._from_block(lo, lo, block)
 
 
 # -- symmetry checks ------------------------------------------------------------

@@ -433,31 +433,25 @@ def count_stable(m: int, n: int) -> int:
 
 
 def _distinct_perms(vals: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of a multiset, in ascending lexicographic order."""
-    vals = sorted(vals)
-    k = len(vals)
-    if k == 0:
-        yield ()
-        return
-    counts: dict[int, int] = {}
-    for v in vals:
-        counts[v] = counts.get(v, 0) + 1
-    keys = sorted(counts)
-    out: list[int] = []
+    """Distinct permutations of a multiset, in ascending lexicographic order.
 
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(out) == k:
-            yield tuple(out)
+    The lexicographic successor rule (Knuth, TAOCP 7.2.1.2, Algorithm L):
+    from the sorted list, find the last ascent p[i] < p[i+1], swap p[i]
+    with the last p[j] > p[i], and reverse the tail after i.
+    """
+    p = sorted(vals)
+    while True:
+        yield tuple(p)
+        i = len(p) - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for v in keys:
-            if counts[v]:
-                counts[v] -= 1
-                out.append(v)
-                yield from rec()
-                out.pop()
-                counts[v] += 1
-
-    yield from rec()
+        j = len(p) - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1 :] = p[: i : -1]
 
 
 def enumerate_rec_star(

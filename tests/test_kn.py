@@ -48,6 +48,30 @@ class TestParking:
         assert is_parking_function(seq) == brute
 
 
+def _pollak_parking(word: list[int]) -> list[int]:
+    """The parking function among the cyclic shifts of a word over
+    Z_{k+1} of length k (Pollak: exactly one shift parks), with values
+    1..k; a uniform word gives a uniform parking function."""
+    k = len(word)
+    for shift in range(k + 1):
+        cand = [(v + shift) % (k + 1) + 1 for v in word]
+        if is_parking_function(cand):
+            return cand
+    raise AssertionError("no parking rotation")  # pragma: no cover - Pollak
+
+
+# K_n draws for n <= 30: a word over Z_n of length n - 1, read either as a
+# parking function by Pollak's rotation, whose complement is recurrent, or
+# reduced mod n - 1 to an arbitrary stable state.
+kn_draws = st.integers(2, 30).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1),
+        st.booleans(),
+    )
+)
+
+
 class TestRecurrence:
     def test_three_vertex_classification(self):
         rec = {
@@ -66,6 +90,19 @@ class TestRecurrence:
         for x in itertools.product(range(n - 1), repeat=n - 1):
             cfg = KnConfig(n, x)
             assert kn_is_recurrent(cfg) == kn_is_recurrent_burning(cfg)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(kn_draws)
+    def test_parking_equals_burning_draws(self, draw):
+        # past the exhaustive n <= 5, up to n = 30
+        n, word, parking = draw
+        if parking:
+            heights = [n - 1 - v for v in _pollak_parking(word)]
+        else:
+            heights = [v % (n - 1) for v in word]
+        cfg = KnConfig(n, heights)
+        assert kn_is_recurrent(cfg) == kn_is_recurrent_burning(cfg)
+        assert kn_is_recurrent_burning(cfg) or not parking
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_recurrent_count(self, n):

@@ -12,7 +12,13 @@ from sandnara import polyomino, qt
 from sandnara.bivar import BivarPoly
 from sandnara.config import DEFAULT_MAX_OBJECTS, Check
 from sandnara.errors import NotInDomain, ResourceLimit
-from sandnara.polyomino import enumerate_para, narayana_number, para_from_paths
+from sandnara.polyomino import (
+    ParaPolyomino,
+    count_para,
+    enumerate_para,
+    narayana_number,
+    para_from_paths,
+)
 from sandnara.qt import (
     check_mn_symmetry,
     check_qt_symmetry,
@@ -80,10 +86,22 @@ class TestNarayanaPoly:
             narayana_poly(m, n)
 
     def test_int64_bounds(self):
-        # heights past int16 are held exactly; a key past int64 raises
+        # heights past int16 and int32 are held exactly; a box whose count
+        # exceeds int64 is refused before anything is enumerated
         assert narayana_poly(1, 2**30) == BivarPoly.monomial(2**30, 2**30)
-        with pytest.raises(ValueError, match="int64"):
-            narayana_poly(1, 2**31)
+        assert narayana_poly(1, 2**31) == BivarPoly.monomial(2**31, 2**31)
+        assert count_para(40, 40) > np.iinfo(np.int64).max
+        with mock.patch.object(qt, "_profile_chunks", side_effect=AssertionError("enumerated")):
+            with pytest.raises(ValueError, match="int64"):
+                narayana_poly(40, 40, max_objects=10**50)
+
+    @pytest.mark.parametrize("n", [150, 400])
+    def test_many_distinct_terms(self, n):
+        # every term of F_{2,n} is distinct, so these boxes fill many batches
+        # with new (area, weight) cells; the closed form is independent
+        assert np.array_equal(
+            poly_to_array(narayana_poly(2, n), 2 * n + 3), narayana_m2_array(n)
+        )
 
 
 class TestTables:
@@ -342,7 +360,7 @@ class TestBatchKernel:
     @given(kernel_draws)
     def test_matches_per_object_statistics(self, draw):
         # the per-object bounce_seq is independent of the batch kernel;
-        # small batch bounds split a box over many batches and merges
+        # small batch bounds split a box over many batches
         rows, m, n = draw
         want: dict[tuple[int, int], int] = {}
         for p in enumerate_para(m, n):
@@ -362,6 +380,24 @@ class TestRoutesAgree:
         assert transfer_matrix_F(m, n)[n - 1] == enum
         if m >= 2:
             assert series_of_form(RATIONAL_FORMS[f"F{m}"], n)[n] == enum
+
+
+# Swap draws: a box with m + n <= 24 and an upper profile; the lower
+# profile is all 0 for a minimal-weight polyomino (the bounce weight is
+# m + n - 1 exactly when the first south run reaches the bottom edge) and
+# bot[i] = top[i-1] - 1 for a ribbon, whose columns overlap in one cell.
+@st.composite
+def upper_profiles(draw):
+    m = draw(st.integers(1, 23))
+    n = draw(st.integers(1, 24 - m))
+    top = sorted(draw(st.lists(st.integers(1, n), min_size=m - 1, max_size=m - 1))) + [n]
+    return m, n, tuple(top)
+
+
+min_weight_draws = upper_profiles().map(lambda d: ParaPolyomino(*d, (0,) * d[0]))
+ribbon_draws = upper_profiles().map(
+    lambda d: ParaPolyomino(*d, (0,) + tuple(t - 1 for t in d[2][:-1]))
+)
 
 
 class TestRibbonSwap:
@@ -415,6 +451,25 @@ class TestRibbonSwap:
             images.append(img)
         assert len(set(images)) == len(src) == len(ribbons)
         assert set(images) == set(ribbons)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(min_weight_draws)
+    def test_swap_draws_past_exhaustive(self, p):
+        # boxes up to m + n = 24, past the exhaustive m + n <= 12
+        assert min_weight_domain(p)
+        img = ribbon_swap(p)
+        assert img.is_ribbon()
+        assert (img.area, img.bounce_weight) == (p.bounce_weight, p.area)
+        assert ribbon_swap_inv(img) == p
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(ribbon_draws)
+    def test_inverse_draws_past_exhaustive(self, r):
+        assert r.is_ribbon()
+        pre = ribbon_swap_inv(r)
+        assert min_weight_domain(pre)
+        assert (pre.area, pre.bounce_weight) == (r.bounce_weight, r.area)
+        assert ribbon_swap(pre) == r
 
 
 class TestRegularExpressionWeights:

@@ -415,6 +415,15 @@ class TestDecorated:
         assert total == count_rec(m, n)
 
 
+class TestDistinctPerms:
+    def test_matches_sorted_permutation_set(self):
+        # every multiset over {0, 1, 2} of length 0..7, given in descending order
+        for k in range(8):
+            for vals in itertools.combinations_with_replacement(range(3), k):
+                want = sorted(set(itertools.permutations(vals)))
+                assert list(sandpile._distinct_perms(vals[::-1])) == want
+
+
 class TestEnumerateRec:
     def test_counts(self):
         assert sum(1 for _ in enumerate_rec(2, 2)) == 4
