@@ -11,16 +11,17 @@ constructor lays its terms into a block.
 Arithmetic (+, -, *, integer scaling) runs on object-dtype blocks, whose
 cells are Python ints, so it never wraps.  A route output keeps the dtype
 its proven coefficient bound chose (int64 or object); the two compare and
-hash alike.  Terms are read off the block in row-major order, which is
-sorted order.  The matrix form factors out the minimal degrees as a
-(qt)^k-style shift so small polynomials print the way the reference tables
-are written.
+hash alike.  `terms` is a read-only mapping view over the block (see
+`Terms`): no term dict is built unless a caller asks for one, and keys,
+items and values come in row-major order, which is sorted order.  The
+matrix form factors out the minimal degrees as a (qt)^k-style shift so
+small polynomials print the way the reference tables are written.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,12 +32,31 @@ Block = tuple[int, int, np.ndarray]
 
 
 def _sum_blocks(parts: Sequence[Block], dtype: type) -> Block:
-    """Sum of shifted blocks: one pass for the bounding box, then one
-    slice-add per part."""
-    a0 = min(a for a, _, _ in parts)
-    w0 = min(w for _, w, _ in parts)
-    a1 = max(a + arr.shape[0] for a, _, arr in parts)
-    w1 = max(w + arr.shape[1] for _, w, arr in parts)
+    """Sum of shifted blocks: one loop over the parts for the bounding box,
+    then one slice-add per part.
+
+    A sole part of the requested dtype is returned as it is, so the result
+    shares its array; a sole part of another dtype is converted.  Sharing is
+    safe because no caller writes into a block after handing it over: the
+    transfer states and closings, the series `prev`/`cur` blocks and the
+    arithmetic operands are only ever read, and `BivarPoly._from_block`
+    copies what it keeps.
+    """
+    if len(parts) == 1:
+        a0, w0, arr = parts[0]
+        return a0, w0, arr if arr.dtype == dtype else arr.astype(dtype)
+    a0, w0, first = parts[0]
+    a1, w1 = a0 + first.shape[0], w0 + first.shape[1]
+    for a, w, arr in parts:
+        rows, cols = arr.shape
+        if a < a0:
+            a0 = a
+        if w < w0:
+            w0 = w
+        if a + rows > a1:
+            a1 = a + rows
+        if w + cols > w1:
+            w1 = w + cols
     out = np.zeros((a1 - a0, w1 - w0), dtype=dtype)
     for a, w, arr in parts:
         out[a - a0 : a - a0 + arr.shape[0], w - w0 : w - w0 + arr.shape[1]] += arr
@@ -57,6 +77,76 @@ def _trim(a0: int, w0: int, arr: np.ndarray) -> Block:
         a0, w0, arr = 0, 0, np.zeros((0, 0), dtype=arr.dtype)
     arr.flags.writeable = False
     return a0, w0, arr
+
+
+class Terms(Mapping[Term, int]):
+    """Read-only mapping view {(dq, dt): coefficient} of the non-zero cells of
+    a block.
+
+    Keys, items and iteration come from one `np.nonzero` of the block, in
+    row-major (sorted) order; `values()` is one masked `tolist()` in the same
+    order, and `len` counts the non-zero cells.  A lookup reads one cell; a
+    zero cell or one outside the block is a missing key.  Every coefficient
+    comes out as a Python int.  Equality with any mapping is the `Mapping`
+    one; `dict(view)` builds a dict.
+    """
+
+    __slots__ = ("_block",)
+
+    def __init__(self, block: Block):
+        self._block = block
+
+    def _nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.nonzero(self._block[2])
+
+    def _pairs(self, i: np.ndarray, j: np.ndarray) -> Iterator[Term]:
+        a0, w0, _ = self._block
+        return zip((i + a0).tolist(), (j + w0).tolist())
+
+    def __iter__(self) -> Iterator[Term]:
+        return self._pairs(*self._nonzero())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._block[2]))
+
+    def __getitem__(self, key: Term) -> int:
+        a0, w0, arr = self._block
+        try:
+            dq, dt = key
+            i, j = dq - a0, dt - w0
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if 0 <= i < arr.shape[0] and 0 <= j < arr.shape[1]:
+            c = arr.item(i, j)
+            if c:
+                return c
+        raise KeyError(key)
+
+    def items(self) -> "_TermItems":
+        return _TermItems(self)
+
+    def values(self) -> "_TermValues":
+        return _TermValues(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _TermItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[Term, int]]:
+        terms = self._mapping
+        i, j = terms._nonzero()
+        return zip(terms._pairs(i, j), terms._block[2][i, j].tolist())
+
+
+class _TermValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[int]:
+        arr = self._mapping._block[2]
+        return iter(arr[arr != 0].tolist())
 
 
 class BivarPoly:
@@ -116,11 +206,10 @@ class BivarPoly:
     # -- views ------------------------------------------------------------
 
     @property
-    def terms(self) -> dict[Term, int]:
-        """The non-zero terms, in row-major (sorted) order of the block."""
-        a0, w0, arr = self._block
-        i, j = np.nonzero(arr)
-        return dict(zip(zip((i + a0).tolist(), (j + w0).tolist()), arr[i, j].tolist()))
+    def terms(self) -> Terms:
+        """The non-zero terms as a read-only view over the block (see
+        `Terms`), in row-major (sorted) order."""
+        return Terms(self._block)
 
     def coeff(self, dq: int, dt: int) -> int:
         a0, w0, arr = self._block

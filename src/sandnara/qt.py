@@ -104,13 +104,19 @@ def narayana_poly(m: int, n: int, max_objects: int | None = None) -> BivarPoly:
 
     Bound: a cell counts polyominoes, so it is at most |Para_{m,n}|; a box
     whose count exceeds int64 is refused before anything is enumerated.
+    Cost: the polyominoes are charged against the object cap, and so are
+    the block's cells twice over (the block and the trimmed copy
+    `BivarPoly._from_block` keeps), before the block is allocated; for
+    m = 2 the block has about n^2 cells against n(n+1)/2 polyominoes.
     """
     count = count_para(m, n)
     guard_count(count, max_objects, f"Para_{{{m},{n}}}")
     if count > _INT64_LIMIT:
         raise ValueError(f"box m={m}, n={n}: |Para| = {count} exceeds the int64 coefficient range")
     lo = m + n - 1
-    block = np.zeros((m * n - lo + 1, m * n + (m - 1) * (m - 2) // 2 - lo + 1), dtype=np.int64)
+    shape = (m * n - lo + 1, m * n + (m - 1) * (m - 2) // 2 - lo + 1)
+    guard_count(2 * shape[0] * shape[1], max_objects, f"F_{{{m},{n}}} block", "cells")
+    block = np.zeros(shape, dtype=np.int64)
     for top, bot in _profile_chunks(m, n):
         area = (top - bot).sum(axis=0, dtype=np.int64)
         np.add.at(block, (area - lo, _bounce_weights(top, bot) - lo), 1)
@@ -358,9 +364,11 @@ def transfer_matrix_F(m_fixed: int, n_max: int, max_objects: int | None = None) 
     `_transfer_moves`).  Since each west run moves at least one column,
     p <= m + 1 and the state space is finite for fixed m.
 
-    Every state holds its coefficients as a dense block.  One row step first
-    collects, per target state, the shifted blocks of its sources and their
-    bounding box, then does one slice-add per (source, cp, rp) transition.
+    Every state holds its coefficients as a dense block.  One row step
+    collects, per target state, the shifted blocks of its sources and sums
+    them with `_sum_blocks`: a target with one source shares its block at
+    the new offset, any other gets a fresh block of the sources' bounding
+    box.
 
     Bound: each partial state extends injectively into Para_{m,n+1} (append
     the row [1, c]), so every coefficient and partial sum is at most

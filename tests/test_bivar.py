@@ -8,8 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sandnara.bivar import BivarPoly, QtSeries
-from sandnara.qt import narayana_poly, poly_to_array
+from sandnara import bivar, qt
+from sandnara.bivar import BivarPoly, QtSeries, _sum_blocks
+from sandnara.qt import (
+    narayana_poly,
+    poly_to_array,
+    rational_series_arrays,
+    series_of_form,
+    transfer_matrix_F,
+)
+from sandnara.tables import RATIONAL_FORMS
 
 polys = st.dictionaries(
     st.tuples(st.integers(0, 6), st.integers(0, 6)),
@@ -128,10 +136,15 @@ def blocks(draw):
     return draw(st.integers(0, 3)) - top, draw(st.integers(0, 3)) - left, arr
 
 
+def term_dict(a0, w0, arr):
+    """The non-zero terms of the block as a plain dict, in row-major order."""
+    return {(a0 + int(i), w0 + int(j)): int(arr[i, j]) for i, j in zip(*np.nonzero(arr))}
+
+
 def dict_twin(a0, w0, arr):
     """The same polynomial through the dict constructor, terms in the
     row-major order of the block."""
-    return BivarPoly({(a0 + int(i), w0 + int(j)): int(arr[i, j]) for i, j in zip(*np.nonzero(arr))})
+    return BivarPoly(term_dict(a0, w0, arr))
 
 
 def array_or_error(poly, size):
@@ -242,3 +255,153 @@ class TestBlockBacked:
         assert BivarPoly._from_block(-1, -1, arr) == BivarPoly.monomial(0, 0, 3)
         with pytest.raises(ValueError, match="exponents must be non-negative"):
             BivarPoly._from_block(-2, 0, arr)
+
+
+class TestTermsView:
+    @BLOCKS
+    @given(blocks())
+    def test_matches_dict_twin(self, block):
+        p, want = BivarPoly._from_block(*block), term_dict(*block)
+        terms = p.terms
+        assert terms == want and want == terms
+        assert terms == dict_twin(*block).terms
+        assert list(terms) == list(terms.keys()) == list(want)
+        assert list(terms.items()) == list(want.items())
+        assert list(terms.values()) == [c for _, c in terms.items()]
+        assert len(terms) == len(terms.items()) == len(terms.values()) == len(want) == len(p)
+        assert repr(terms) == repr(want)
+        assert dict(terms) == want
+        assert BivarPoly(terms) == p
+
+    @BLOCKS
+    @given(blocks())
+    def test_lookup_reads_one_cell(self, block):
+        p, want = BivarPoly._from_block(*block), term_dict(*block)
+        terms = p.terms
+        (a0, w0), (a1, w1) = p.min_degrees(), p.max_degrees()
+        # every cell of the trimmed box and a ring of cells around it
+        for key in ((a, w) for a in range(a0 - 1, a1 + 2) for w in range(w0 - 1, w1 + 2)):
+            if key in want:
+                assert key in terms and terms[key] == terms.get(key) == want[key]
+            else:
+                assert key not in terms and terms.get(key) is None and terms.get(key, 0) == 0
+                with pytest.raises(KeyError):
+                    terms[key]
+
+    @BLOCKS
+    @given(blocks())
+    def test_values_are_python_ints(self, block):
+        terms = BivarPoly._from_block(*block).terms
+        assert all(type(c) is int for c in terms.values())
+        assert all(type(a) is int and type(b) is int and type(c) is int for (a, b), c in terms.items())
+
+    def test_big_and_negative_values(self):
+        arr = np.array([[2**64, 0, -3], [0, 0, -(2**70)]], dtype=object)
+        p = BivarPoly._from_block(1, 2, arr)
+        want = {(1, 2): 2**64, (1, 4): -3, (2, 4): -(2**70)}
+        assert list(p.terms.items()) == list(want.items())
+        assert list(p.terms.values()) == list(want.values())
+        assert all(type(c) is int for c in p.terms.values())
+        assert p.terms[(2, 4)] == -(2**70)
+        with pytest.raises(KeyError):
+            p.terms[(1, 3)]
+        with pytest.raises(KeyError):
+            p.terms[(0, 2)]
+
+    def test_read_only(self):
+        terms = BivarPoly({(1, 1): 2}).terms
+        with pytest.raises(TypeError):
+            terms[(1, 1)] = 3
+        with pytest.raises(TypeError):
+            del terms[(1, 1)]
+        assert terms == {(1, 1): 2}
+
+    def test_zero_is_empty(self):
+        terms = BivarPoly.zero().terms
+        assert terms == {} and len(terms) == 0 and not terms
+        assert list(terms) == list(terms.items()) == list(terms.values()) == []
+        assert (0, 0) not in terms and repr(terms) == "{}"
+
+    def test_other_keys_are_missing(self):
+        terms = BivarPoly({(0, 0): 1}).terms
+        for key in ((0,), (0, 0, 0), 0, "ab", None):
+            assert key not in terms
+
+
+def sum_blocks_four_pass(parts, dtype):
+    """The bounding box by four passes over the parts, into a fresh block."""
+    a0 = min(a for a, _, _ in parts)
+    w0 = min(w for _, w, _ in parts)
+    a1 = max(a + arr.shape[0] for a, _, arr in parts)
+    w1 = max(w + arr.shape[1] for _, w, arr in parts)
+    out = np.zeros((a1 - a0, w1 - w0), dtype=dtype)
+    for a, w, arr in parts:
+        out[a - a0 : a - a0 + arr.shape[0], w - w0 : w - w0 + arr.shape[1]] += arr
+    return a0, w0, out
+
+
+@st.composite
+def part_lists(draw):
+    """(parts, dtype): int64 or object parts at offsets that may be negative;
+    int64 parts may be summed into object dtype."""
+    big = draw(st.booleans())
+    dtype = object if big else draw(st.sampled_from([np.int64, object]))
+    coeffs = st.integers(-(2**70), 2**70) if big else st.integers(-50, 50)
+    parts = []
+    for _ in range(draw(st.integers(1, 5))):
+        h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        cells = draw(st.lists(coeffs, min_size=h * w, max_size=h * w))
+        arr = np.array(cells, dtype=object if big else np.int64).reshape(h, w)
+        parts.append((draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), arr))
+    return parts, dtype
+
+
+class TestSumBlocks:
+    @BLOCKS
+    @given(part_lists())
+    def test_matches_four_pass_form(self, drawn):
+        parts, dtype = drawn
+        (a0, w0, got), (b0, v0, want) = _sum_blocks(parts, dtype), sum_blocks_four_pass(parts, dtype)
+        assert (a0, w0, got.shape, got.dtype) == (b0, v0, want.shape, want.dtype)
+        assert got.tolist() == want.tolist()
+
+    def test_sole_part_of_the_dtype_is_shared(self):
+        for arr, dtype in ((np.arange(6).reshape(2, 3), np.int64), (np.ones((2, 2), dtype=object), object)):
+            a0, w0, out = _sum_blocks([(4, -1, arr)], dtype)
+            assert (a0, w0) == (4, -1) and out is arr
+
+    def test_sole_part_of_another_dtype_is_converted(self):
+        arr = np.arange(6, dtype=np.int64).reshape(2, 3)
+        a0, w0, out = _sum_blocks([(1, 2, arr)], object)
+        assert (a0, w0) == (1, 2) and out.dtype == object
+        assert not np.shares_memory(out, arr) and out.tolist() == arr.tolist()
+
+    def test_no_route_writes_a_handed_over_block(self, monkeypatch):
+        """Every block `_sum_blocks` returns is marked read-only; a route
+        that wrote into one, through a shared sole part or a later sum,
+        would raise."""
+
+        def routes():
+            out = [transfer_matrix_F(m, 12) for m in range(1, 7)]
+            out += [
+                series_of_form(RATIONAL_FORMS[name], order).coeffs
+                for name, order in (("F2", 60), ("F3", 57), ("F4", 21), ("F5", 13), ("F6", 9))
+            ]
+            arrays = list(rational_series_arrays(RATIONAL_FORMS["F2"], 30))
+            return out, arrays
+
+        want, want_arrays = routes()
+        real = bivar._sum_blocks
+
+        def frozen(parts, dtype):
+            block = real(parts, dtype)
+            block[2].flags.writeable = False
+            return block
+
+        monkeypatch.setattr(bivar, "_sum_blocks", frozen)
+        monkeypatch.setattr(qt, "_sum_blocks", frozen)
+        got, got_arrays = routes()
+        assert got == want
+        assert [k for k, _ in got_arrays] == [k for k, _ in want_arrays]
+        for (_, a), (_, b) in zip(got_arrays, want_arrays):
+            assert a.dtype == b.dtype and np.array_equal(a, b)

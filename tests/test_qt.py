@@ -95,6 +95,15 @@ class TestNarayanaPoly:
             with pytest.raises(ValueError, match="int64"):
                 narayana_poly(40, 40, max_objects=10**50)
 
+    def test_block_cells_charged(self):
+        # the 100 x 100 block of F_{2,100} and its trimmed copy are charged
+        # as 20,000 cells before anything is enumerated; its 5,050
+        # polyominoes alone pass the cap
+        with mock.patch.object(qt, "_profile_chunks", side_effect=AssertionError("enumerated")):
+            with pytest.raises(ResourceLimit, match="cells exceeds cap 19999"):
+                narayana_poly(2, 100, max_objects=19_999)
+        assert narayana_poly(2, 100, max_objects=20_000) == narayana_poly(2, 100)
+
     @pytest.mark.parametrize("n", [150, 400])
     def test_many_distinct_terms(self, n):
         # every term of F_{2,n} is distinct, so these boxes fill many batches
