@@ -155,24 +155,18 @@ class BivarPoly:
     __slots__ = ("_block",)
 
     def __init__(self, terms: Mapping[Term, int] | Iterable[tuple[Term, int]] = ()):
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
-        clean: dict[Term, int] = {}
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        cells = []
         for (dq, dt), c in items:
             if dq < 0 or dt < 0:
                 raise ValueError("exponents must be non-negative")
             if c:
-                key = (dq, dt)
-                clean[key] = clean.get(key, 0) + c
-                if not clean[key]:
-                    del clean[key]
-        qs, ts = zip(*clean) if clean else ((), ())
+                cells.append((dq, dt, c))
+        qs, ts, _ = zip(*cells) if cells else ((), (), ())
         a0, w0 = min(qs, default=0), min(ts, default=0)
         arr = np.zeros((max(qs, default=-1) - a0 + 1, max(ts, default=-1) - w0 + 1), dtype=object)
-        for (a, b), c in clean.items():
-            arr[a - a0, b - w0] = c
+        for a, b, c in cells:
+            arr[a - a0, b - w0] += c
         object.__setattr__(self, "_block", _trim(a0, w0, arr))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -212,11 +206,7 @@ class BivarPoly:
         return Terms(self._block)
 
     def coeff(self, dq: int, dt: int) -> int:
-        a0, w0, arr = self._block
-        i, j = dq - a0, dt - w0
-        if 0 <= i < arr.shape[0] and 0 <= j < arr.shape[1]:
-            return arr.item(i, j)
-        return 0
+        return self.terms.get((dq, dt), 0)
 
     def is_zero(self) -> bool:
         return not self._block[2].size
@@ -267,11 +257,9 @@ class BivarPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, dq: int, dt: int, coeff: int = 1) -> "BivarPoly":
-        """Multiply by coeff * q^dq * t^dt."""
+    def shift(self, dq: int, dt: int) -> "BivarPoly":
+        """Multiply by q^dq * t^dt."""
         a0, w0, arr = self._block
-        if coeff != 1:
-            arr = arr.astype(object) * coeff
         return BivarPoly._from_block(a0 + dq, w0 + dt, arr)
 
     def eval_at(self, q0: int, t0: int) -> int:

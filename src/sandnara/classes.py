@@ -445,14 +445,9 @@ def enumerate_minanz(
     """All minanz states: rearrangements of increasing minanz states with the
     single zero pinned at v_m."""
     guard_count(_count_all_minanz(m, n), max_objects, f"minanz(D_{{{m},{n}}})")
-    for inc in enumerate_rec_star(m, n, max_objects=None):
-        if level(inc) != 0:
-            continue
-        a, b = inc.top, inc.bottom
-        if any(v == 0 for v in a) or b[0] != 0 or (len(b) > 1 and b[1] == 0):
-            continue
-        for t in _distinct_perms(a):
-            for rest in _distinct_perms(b[1:]):
+    for inc in filter(_minanz_heights, enumerate_rec_star(m, n, max_objects=None)):
+        for t in _distinct_perms(inc.top):
+            for rest in _distinct_perms(inc.bottom[1:]):
                 yield BipartiteConfig(m, n, t + (0,) + rest)
 
 

@@ -43,7 +43,6 @@ from .classes import (
     is_top_heavy,
     matrix_of_config,
     poset_of_matrix,
-    _minanz_heights,
 )
 from .errors import ResourceLimit, SandnaraError
 from .kn import (
@@ -176,19 +175,17 @@ def cmd_stabilize(args) -> int:
     return EXIT_OK
 
 
+CHECKS = {"recurrent": is_recurrent, "minanz": is_minanz, "top-heavy": is_top_heavy}
+
+
 def cmd_check(args) -> int:
     m = args.m if args.m is not None else args.n
     cfg = BipartiteConfig(m, args.n, args.heights)
     out: dict = {"m": m, "n": args.n, "heights": list(cfg.heights)}
-    burnt = burn(cfg) if cfg.is_stable() else None
-    result = burnt is not None and burnt.recurrent
-    if result and args.what == "minanz":
-        result = _minanz_heights(cfg)
-    elif result and args.what == "top-heavy":
-        result = is_top_heavy(cfg)  # reads the run kept on cfg
-    out["result"] = result
-    if args.verbose and burnt is not None:
-        out["trace"] = burnt.trace.to_json()
+    # one burning run: the predicates read the run kept on cfg
+    out["result"] = is_recurrent(cfg) and CHECKS[args.what](cfg)
+    if args.verbose and cfg.is_stable():
+        out["trace"] = burn(cfg).trace.to_json()
     _emit(out, args.format)
     return EXIT_OK
 
@@ -468,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stabilize)
 
     p = sub.add_parser("check", help="recurrence and class predicates")
-    p.add_argument("what", choices=["recurrent", "minanz", "top-heavy"])
+    p.add_argument("what", choices=list(CHECKS))
     p.add_argument("--m", type=_positive_int, default=None)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--heights", type=_heights, required=True)

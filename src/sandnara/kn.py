@@ -295,21 +295,18 @@ def enumerate_dyck(n: int, max_objects: int | None = None) -> Iterator[DyckPath]
 
 def cn_poly(n: int, max_objects: int | None = None) -> BivarPoly:
     """q,t-Catalan polynomial: sum of q^area t^bounce over Dyck_n."""
-    acc: dict[tuple[int, int], int] = {}
-    for path in enumerate_dyck(n, max_objects):
-        key = (dyck_area(path), haglund_bounce_stat(path))
-        acc[key] = acc.get(key, 0) + 1
-    return BivarPoly(acc)
+    return BivarPoly(
+        ((dyck_area(path), haglund_bounce_stat(path)), 1)
+        for path in enumerate_dyck(n, max_objects)
+    )
 
 
 def sn_poly(n: int, max_objects: int | None = None) -> BivarPoly:
     """Sum of q^area t^bounce_weight over diagrams of sorted recurrent states."""
-    acc: dict[tuple[int, int], int] = {}
-    for cfg in enumerate_sorted_recurrent(n, max_objects):
-        poly = diag(cfg)
-        key = (poly.area, poly.bounce_weight)
-        acc[key] = acc.get(key, 0) + 1
-    return BivarPoly(acc)
+    return BivarPoly(
+        ((poly.area, poly.bounce_weight), 1)
+        for poly in map(diag, enumerate_sorted_recurrent(n, max_objects))
+    )
 
 
 def olson_check(n: int, max_objects: int | None = None) -> Check:

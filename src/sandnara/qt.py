@@ -40,7 +40,6 @@ from .bivar import Block, BivarPoly, QtSeries, _sum_blocks
 from .config import Check, guard_count
 from .errors import NotInDomain
 from .polyomino import (
-    CellSet,
     ParaPolyomino,
     count_para,
     narayana_number,
@@ -142,10 +141,7 @@ def _symmetry_check(name: str, p: BivarPoly, q: BivarPoly) -> Check:
 def check_qt_symmetry(m: int, n: int, max_objects: int | None = None) -> Check:
     """Compare F_{m,n}(q,t) with F_{m,n}(t,q)."""
     p = narayana_poly(m, n, max_objects)
-    name = f"qt-symmetry {m},{n}"
-    if p.is_qt_symmetric():
-        return Check(name, True)
-    return _symmetry_check(name, p, p.swap_qt())
+    return _symmetry_check(f"qt-symmetry {m},{n}", p, p.swap_qt())
 
 
 def check_mn_symmetry(m: int, n: int, max_objects: int | None = None) -> Check:
@@ -418,7 +414,10 @@ def ribbon_swap(poly: ParaPolyomino) -> ParaPolyomino:
     The diagonal profile d_1..d_{m+n-1} of the input is re-read as a pile of
     backwards-L strips: x_i / y_i count diagonals longer than d_m - i on the
     left/right side of the peak, and strip i contributes a horizontal bar at
-    height y_{i-1}+1 and a vertical bar in column x_i.
+    height y_{i-1}+1 and a vertical bar in column x_i.  Walking the ribbon's
+    cells from (1, 1), strip i moves x_i - x_{i-1} cells east, then
+    y_i - y_{i-1} north (the last north move leaves the box and is dropped);
+    the walk w has m+n-2 moves, and the ribbon's paths are N w E over E w N.
     """
     m, n = poly.m, poly.n
     if not min_weight_domain(poly):
@@ -428,16 +427,12 @@ def ribbon_swap(poly: ParaPolyomino) -> ParaPolyomino:
     left, right = d[: m - 1], d[m - 1 :]
     xs = [1 + sum(1 for v in left if v > dp - i) for i in range(dp + 1)]
     ys = [sum(1 for v in right if v > dp - i) for i in range(dp + 1)]
-    cells = set()
-    for i in range(1, dp + 1):
-        for col in range(xs[i - 1], xs[i]):
-            cells.add((col, ys[i - 1] + 1))
-        for row in range(ys[i - 1] + 1, ys[i] + 1):
-            cells.add((xs[i], row))
-    out = CellSet(m, n, frozenset(cells)).as_para()
-    if out is None or not out.is_ribbon():  # pragma: no cover - construction proof
-        raise NotInDomain("swap image failed to be a ribbon")
-    return out
+    walk = "".join(
+        "E" * (xs[i] - xs[i - 1]) + "N" * (ys[i] - ys[i - 1]) for i in range(1, dp + 1)
+    )[:-1]
+    return ParaPolyomino(
+        m, n, _word_to_profile("N" + walk + "E"), _word_to_profile("E" + walk + "N")
+    )
 
 
 def ribbon_swap_inv(poly: ParaPolyomino) -> ParaPolyomino:

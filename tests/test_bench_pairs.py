@@ -65,25 +65,43 @@ def test_worse_beyond_the_bound_for_higher_is_better():
     assert s["verdict"] == "worse beyond the bound"
 
 
-def test_compare_traced():
-    def traced(busy, calls):
-        return {"metrics": {
-            "qt.narayana_poly.busy_s": {"value": busy},
-            "qt.narayana_poly.calls": {"value": calls},
-            "qt.narayana_poly.objects_per_s": {"value": 1.0 / busy},
-        }}
+def traced(busy, calls):
+    return {"metrics": {
+        "qt.narayana_poly.busy_s": {"value": busy},
+        "qt.narayana_poly.calls": {"value": calls},
+        "qt.narayana_poly.objects_per_s": {"value": 1.0 / busy},
+    }}
 
-    out = bench_pairs.compare_traced(traced(0.2, 10), traced(0.1, 10))
+
+def test_compare_traced():
+    out = bench_pairs.compare_traced([{"parent": traced(0.2, 10), "change": traced(0.1, 10)}])
     assert out["calls_identical"] and out["calls_differing"] == []
     assert out["layers"]["qt.narayana_poly.objects_per_s"]["ratio"] == pytest.approx(2.0)
-    out = bench_pairs.compare_traced(traced(0.2, 10), traced(0.1, 11))
+    out = bench_pairs.compare_traced([{"parent": traced(0.2, 10), "change": traced(0.1, 11)}])
     assert out["calls_differing"] == ["qt.narayana_poly.calls"]
+    # several pairs: per-side medians, per-run values in pair order; one
+    # slow change run does not move the median, and the call counts are
+    # compared within each pair (seeds differ between pairs)
+    pairs = [
+        {"parent": traced(0.20, 10), "change": traced(0.15, 10)},
+        {"parent": traced(0.22, 12), "change": traced(0.30, 12)},
+        {"parent": traced(0.18, 11), "change": traced(0.14, 11)},
+    ]
+    out = bench_pairs.compare_traced(pairs)
+    assert out["calls_identical"]
+    busy = out["layers"]["qt.narayana_poly.busy_s"]
+    assert busy["parent_runs"] == [0.20, 0.22, 0.18] and busy["change_runs"] == [0.15, 0.30, 0.14]
+    assert (busy["parent"], busy["change"]) == (0.20, 0.15)
+    assert busy["delta"] == pytest.approx(-0.05) and busy["ratio"] == pytest.approx(0.75)
+    pairs[1]["change"] = traced(0.30, 13)
+    assert bench_pairs.compare_traced(pairs)["calls_differing"] == ["qt.narayana_poly.calls"]
 
 
 def test_compare_traced_layer_missing_from_change():
     parent = {"metrics": {"old.layer.busy_s": {"value": 0.5}, "old.layer.calls": {"value": 3}}}
-    out = bench_pairs.compare_traced(parent, {"metrics": {}})
+    out = bench_pairs.compare_traced([{"parent": parent, "change": {"metrics": {}}}])
     assert out["layers"]["old.layer.busy_s"]["change"] == 0.0
+    assert out["layers"]["old.layer.busy_s"]["change_runs"] == [0.0]
     assert out["calls_differing"] == ["old.layer.calls"]
 
 
@@ -94,10 +112,12 @@ with open("../runs.log", "a") as log:  # shared by both trees, in run order
     log.write(" ".join((os.path.basename(os.getcwd()), args["--workload"], args["--seed"],
                         args["--trace"])) + "\\n")
 wall = float(open("wall.txt").read()) + int(args["--seed"]) / 1000
-metrics = {"wall_s": {"value": wall}}
-if args["--trace"] == "1":
-    metrics["qt.narayana_poly.busy_s"] = {"value": wall / 2}
-    metrics["qt.narayana_poly.calls"] = {"value": 7}
+if args["--trace"] == "1":  # a traced run reports per-layer metrics only
+    metrics = {"bench.wall_s_untraced": {"value": wall},
+               "qt.narayana_poly.busy_s": {"value": wall / 2},
+               "qt.narayana_poly.calls": {"value": 7}}
+else:
+    metrics = {"wall_s": {"value": wall}}
 print(json.dumps({"workload": args["--workload"], "seconds": args["--seconds"],
                   "metrics": metrics, "attempted": 2, "failed": 0}))
 '''
@@ -118,7 +138,7 @@ def test_main_runs_every_workload_into_one_file(tmp_path):
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main([
         "--parent", str(parent), "--change", str(change), "--workload", "enum", "series",
-        "--seeds", "1-3", "--trace-seed", "9", "--claim", "enum", "wall_s",
+        "--seeds", "1-3", "--trace-seed", "8-9", "--claim", "enum", "wall_s",
         "--out", str(out),
     ]) == 0
     doc = json.loads(out.read_text())
@@ -131,12 +151,19 @@ def test_main_runs_every_workload_into_one_file(tmp_path):
         assert {p["parent"]["seconds"] for p in w["pairs"]} == {"3"}
         assert w["seeds"] == [1, 2, 3] and w["checks"]["attempted_change"] == 6
         assert w["summary"]["wall_s"]["verdict"] == "better in every run"
-        assert doc[f"traced_{name}"]["calls_identical"]
+        traced_doc = doc[f"traced_{name}"]
+        assert traced_doc["calls_identical"]
+        assert [(p["seed"], p["first"]) for p in traced_doc["pairs"]] == [
+            (8, "parent"), (9, "change")]
+        busy = traced_doc["layers"]["qt.narayana_poly.busy_s"]
+        assert busy["parent_runs"] == [pytest.approx(1.008 / 2), pytest.approx(1.009 / 2)]
+        assert busy["change"] == pytest.approx((0.508 + 0.509) / 4)
     assert doc["claim"]["workload"] == "enum" and doc["claim"]["met"]
-    # round-robin: pair i of every workload before pair i + 1, then the
-    # traced runs; the parent ("p") first in even-numbered pairs
+    # round-robin: pair i of every workload before pair i + 1, then each
+    # workload's traced pairs; the parent ("p") first in even-numbered pairs
     order = [line.split() for line in (tmp_path / "runs.log").read_text().splitlines()]
     pair_runs = [(side, w, seed) for seed, sides in (("1", "pc"), ("2", "cp"), ("3", "pc"))
                  for w in ("enum", "series") for side in sides]
     assert order == [[side, w, seed, "0"] for side, w, seed in pair_runs] + [
-        [side, w, "9", "1"] for w in ("enum", "series") for side in "pc"]
+        [side, w, seed, "1"] for w in ("enum", "series")
+        for seed, sides in (("8", "pc"), ("9", "cp")) for side in sides]

@@ -42,14 +42,26 @@ class TestBasics:
         p = BivarPoly({(1, 1): 5, (2, 2): 0})
         assert len(p) == 1
         assert (p - p).is_zero()
+        # a zero coefficient does not size the block, however far away
+        far = BivarPoly({(0, 0): 1, (10**9, 10**9): 0})
+        assert far == BivarPoly.monomial(0, 0) and far._block[2].shape == (1, 1)
+        # repeated exponents of an iterable input add up; what cancels is gone
+        assert BivarPoly([((1, 1), 2), ((0, 2), 1), ((1, 1), 3)]) == BivarPoly(
+            {(1, 1): 5, (0, 2): 1}
+        )
+        summed = BivarPoly([((1, 1), 2), ((0, 2), 1), ((0, 2), -1)])
+        assert summed == BivarPoly.monomial(1, 1, 2) and summed._block[2].shape == (1, 1)
+        assert BivarPoly([((1, 1), 2), ((1, 1), -2)]).is_zero()
 
     def test_shift(self):
         p = BivarPoly({(0, 0): 2, (1, 1): 1})
         assert p.shift(2, 3) == BivarPoly({(2, 3): 2, (3, 4): 1})
 
     def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            BivarPoly({(-1, 0): 1})
+        # every exponent pair is checked, a zero coefficient's too
+        for terms in ({(-1, 0): 1}, {(-1, 0): 0}, {(0, 0): 1, (0, -3): 0}, [((2, -1), 0)]):
+            with pytest.raises(ValueError, match="exponents must be non-negative"):
+                BivarPoly(terms)
 
     def test_big_coefficients(self):
         big = 10**40

@@ -87,6 +87,49 @@ class TestCheck:
         )
         assert data["result"] is True
 
+    @pytest.mark.parametrize(
+        "argv, code, want, traced",
+        [
+            # a recurrent non-square state reaches the square-only predicate
+            pytest.param(
+                ("top-heavy", "--m", "2", "--n", "3", "--heights", "1,0,1,1"),
+                2, "NotMinanz", False, id="top-heavy-recurrent-not-square",
+            ),
+            # a non-recurrent one is answered before the predicate runs
+            pytest.param(
+                ("top-heavy", "--m", "2", "--n", "3", "--heights", "0,0,0,0"),
+                0, False, False, id="top-heavy-not-recurrent-not-square",
+            ),
+            pytest.param(
+                ("minanz", "--m", "3", "--n", "4", "--heights", "0,2,1,2,1,2"),
+                0, False, False, id="minanz-recurrent-not-minanz",
+            ),
+            pytest.param(
+                ("recurrent", "--m", "2", "--n", "2", "--heights", "5,0,0", "--verbose"),
+                0, False, False, id="verbose-unstable-no-trace",
+            ),
+            pytest.param(
+                ("recurrent", "--m", "3", "--n", "3", "--heights", "0,2,0,1,2", "--verbose"),
+                0, False, True, id="verbose-stable-not-recurrent-trace",
+            ),
+        ],
+    )
+    def test_edge_cases(self, capsys, argv, code, want, traced):
+        got, out, err = run(capsys, "check", *argv)
+        assert got == code, err
+        if code:
+            assert out == "" and json.loads(err)["error"] == want
+            return
+        data = json.loads(out)
+        assert data["result"] is want
+        assert ("trace" in data) == traced
+        if traced:
+            assert data["trace"]["waves"] == [
+                {"side": "bottom", "vertices": [5]},
+                {"side": "top", "vertices": [2]},
+                {"side": "bottom", "vertices": [4]},
+            ]
+
 
 class TestMap:
     def test_to_matrix_worked_example(self, capsys):

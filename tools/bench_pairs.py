@@ -4,7 +4,7 @@ Usage, from anywhere:
 
     python3 tools/bench_pairs.py --parent DIR --change DIR \
         --workload enum [series queries ...] --seeds 12-21 \
-        [--trace-seed N] [--claim enum wall_s] [--parent-commit SHA] \
+        [--trace-seed 7-9] [--claim enum wall_s] [--parent-commit SHA] \
         [--change-commit SHA] --out BENCH_7.json
 
 Each tree is a plain export of one commit (`git archive <commit> | tar -x
@@ -19,9 +19,12 @@ the same seed, back to back; the parent goes first in even-numbered pairs
 and the change in odd-numbered ones, so slow drift of the host falls on
 both sides alike.  The pairs run round-robin, pair i of every workload
 before pair i + 1 of any, so that drift also spreads over the workloads
-instead of landing on one.  With --trace-seed, one traced run per side
-(--trace 1) and workload follows the last pair, and its per-layer metrics
-are compared.
+instead of landing on one.  With --trace-seed, which takes a seed list
+like --seeds, traced pairs (--trace 1) of each workload follow the last
+untraced pair, one per traced seed, the first side alternating in the same
+way.  Their per-layer metrics are compared by each side's median over the
+traced runs, so one slow stretch of the host does not read as a layer's
+loss or gain; the per-run values are kept next to the medians.
 
 The output has the layout of the earlier BENCH files: every run's result
 line, per-metric quartiles (statistics.quantiles(n=4, method='inclusive'))
@@ -144,20 +147,27 @@ def claim(summary: dict, metric: str, workload: str, seeds: list[int]) -> dict:
     }
 
 
-def compare_traced(parent: dict, change: dict) -> dict:
-    """Per-layer deltas of one traced run per side: every busy time and
-    rate of the parent's run (0.0 where the change's run lacks it), and
-    whether every call count is identical."""
-    pm, cm = parent["metrics"], change["metrics"]
-    calls = [k for k in pm if k.endswith(".calls")]
-    differing = [k for k in calls if pm[k]["value"] != cm.get(k, {}).get("value")]
+def compare_traced(pairs: list[dict]) -> dict:
+    """Per-layer comparison of traced pairs (each {"parent": result,
+    "change": result} on one seed): for every busy time and rate of the
+    parent's runs, each side's median over the runs and the per-run values
+    (0.0 where a run lacks the layer), and whether every call count is
+    identical between the two sides of every pair."""
+    def value(result: dict, key: str) -> float | None:
+        return result["metrics"].get(key, {}).get("value")
+
+    keys = list(dict.fromkeys(k for p in pairs for k in p["parent"]["metrics"]))
+    differing = [k for k in keys if k.endswith(".calls")
+                 and any(value(p["parent"], k) != value(p["change"], k) for p in pairs)]
     layers = {}
-    for key in pm:
+    for key in keys:
         if key.endswith(".busy_s") or key.endswith("_per_s"):
-            p = pm[key]["value"] or 0.0
-            c = cm.get(key, {}).get("value") or 0.0
-            layers[key] = {"parent": p, "change": c, "delta": c - p,
-                           "ratio": c / p if p else None}
+            runs = {side: [value(p[side], key) or 0.0 for p in pairs] for side in SIDES}
+            med = {side: statistics.median(runs[side]) for side in SIDES}
+            layers[key] = {"parent": med["parent"], "change": med["change"],
+                           "delta": med["change"] - med["parent"],
+                           "ratio": med["change"] / med["parent"] if med["parent"] else None,
+                           "parent_runs": runs["parent"], "change_runs": runs["change"]}
     return {"calls_identical": not differing, "calls_differing": differing, "layers": layers}
 
 
@@ -188,19 +198,23 @@ def machine(tree: Path, workload: str, seed: int, trace: int) -> dict | None:
 
 
 def run_pair(trees: dict[str, Path], command: list[str], seconds: float, workload: str,
-             i: int, seed: int, not_completed: list[str]) -> dict | None:
-    """Pair number i of untraced runs of one workload, the parent first when
-    i is even; None when a side gave no result, noted in `not_completed`."""
+             i: int, seed: int, not_completed: list[str], trace: int = 0) -> dict | None:
+    """Pair number i of runs of one workload, traced when `trace` is 1, the
+    parent first when i is even; None when a side gave no result, noted in
+    `not_completed`."""
     order = SIDES if i % 2 == 0 else SIDES[::-1]
     pair = {"seed": seed, "first": order[0]}
+    label = f"{workload} traced" if trace else workload
+    wall = "bench.wall_s_untraced" if trace else "wall_s"  # a traced run reports layers
     for side in order:
-        result, err = run_once(trees[side], command, workload, seed, seconds, 0)
-        print(f"{workload} pair {i} seed {seed} {side}: "
-              + (f"wall_s {result['metrics']['wall_s']['value']:.4f}" if result else "no result"),
+        result, err = run_once(trees[side], command, workload, seed, seconds, trace)
+        metrics = result.get("metrics") if result else None
+        print(f"{label} pair {i} seed {seed} {side}: "
+              + (f"{wall} {metrics[wall]['value']:.4f}" if metrics else "no result"),
               file=sys.stderr)
-        if result is None or not result.get("metrics"):
+        if not metrics:
             not_completed.append(
-                f"{workload} seed {seed}, {side} side: no result line ({err[-200:]})")
+                f"{label} seed {seed}, {side} side: no result line ({err[-200:]})")
             return None
         pair[side] = result
     return pair
@@ -212,7 +226,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="exported change tree")
     parser.add_argument("--workload", nargs="+", required=True, help="one or more workloads")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 12-21 or 3,5,8")
-    parser.add_argument("--trace-seed", type=int, help="add one traced run per side and workload")
+    parser.add_argument("--trace-seed", type=parse_seeds,
+                        help="add one traced pair per seed and workload, e.g. 7-9")
     parser.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "METRIC"),
                         help="end-to-end metric of a workload whose claim rule to check")
     parser.add_argument("--parent-commit", default=None)
@@ -268,20 +283,12 @@ def main(argv: list[str] | None = None) -> int:
                   f"({100 * s['median_change_rel']:+.1f}%, wins {s['change_wins']}/{s['pairs']}, "
                   f"spread {100 * s['parent_spread_rel']:.0f}%): {s['verdict']}", file=sys.stderr)
 
-        if args.trace_seed is not None:
-            traced = {}
-            for side in SIDES:
-                result, err = run_once(trees[side], command, workload, args.trace_seed,
-                                       seconds, 1)
-                if result is None or not result.get("metrics"):
-                    doc["runs_not_completed"].append(
-                        f"{workload} traced seed {args.trace_seed}, {side} side: no result line")
-                    break
-                traced[side] = {"seed": args.trace_seed, "result": result}
-            else:
-                traced.update(compare_traced(traced["parent"]["result"],
-                                             traced["change"]["result"]))
-                doc[f"traced_{workload}"] = traced
+        traced = [run_pair(trees, command, seconds, workload, i, seed,
+                           doc["runs_not_completed"], trace=1)
+                  for i, seed in enumerate(args.trace_seed or ())]
+        traced = [pair for pair in traced if pair is not None]
+        if traced:
+            doc[f"traced_{workload}"] = {"pairs": traced, **compare_traced(traced)}
 
     if not doc["workloads"]:
         print("error: no pair completed", file=sys.stderr)
