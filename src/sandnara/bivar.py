@@ -156,17 +156,20 @@ class BivarPoly:
 
     def __init__(self, terms: Mapping[Term, int] | Iterable[tuple[Term, int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        cells = []
+        clean: dict[Term, int] = {}
         for (dq, dt), c in items:
             if dq < 0 or dt < 0:
                 raise ValueError("exponents must be non-negative")
             if c:
-                cells.append((dq, dt, c))
-        qs, ts, _ = zip(*cells) if cells else ((), (), ())
+                key = (dq, dt)
+                clean[key] = clean.get(key, 0) + c
+                if not clean[key]:
+                    del clean[key]
+        qs, ts = zip(*clean) if clean else ((), ())
         a0, w0 = min(qs, default=0), min(ts, default=0)
         arr = np.zeros((max(qs, default=-1) - a0 + 1, max(ts, default=-1) - w0 + 1), dtype=object)
-        for a, b, c in cells:
-            arr[a - a0, b - w0] += c
+        for (a, b), c in clean.items():
+            arr[a - a0, b - w0] = c
         object.__setattr__(self, "_block", _trim(a0, w0, arr))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard

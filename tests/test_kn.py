@@ -1,6 +1,7 @@
 """Complete-graph sandpile, Dyck paths, Haglund bounce, Catalan link."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +252,19 @@ class TestPolynomials:
     def test_cn_specializes_to_catalan(self):
         for n in (2, 3, 4, 5):
             assert cn_poly(n).eval_at(1, 1) == catalan(n)
+
+    def test_cn_memory_follows_terms(self):
+        # 16,796 Dyck paths fold into 725 terms; holding one entry per path
+        # would peak above 2 MB
+        cn_poly(3)
+        tracemalloc.start()
+        try:
+            p = cn_poly(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(p) == 725 and p.eval_at(1, 1) == catalan(10)
+        assert peak < 1_000_000
 
 
 class TestAreaRelation:
