@@ -217,9 +217,6 @@ class BivarPoly:
     def __len__(self) -> int:
         return int(np.count_nonzero(self._block[2]))
 
-    def min_degrees(self) -> Term:
-        return self._block[:2]
-
     def max_degrees(self) -> Term:
         if self.is_zero():
             return (0, 0)
@@ -300,10 +297,6 @@ class BivarPoly:
                 {"q": a, "t": b, "c": str(c)} for (a, b), c in self.sorted_terms()
             ]
         }
-
-    @classmethod
-    def from_sparse_json(cls, data: dict) -> "BivarPoly":
-        return cls({(t["q"], t["t"]): int(t["c"]) for t in data["terms"]})
 
     def to_matrix_json(self) -> dict:
         """Dense form {"shift": [kq, kt], "matrix": rows} with

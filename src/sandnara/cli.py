@@ -389,12 +389,14 @@ def _verify_kn_area(args) -> list[Check]:
         derived = consts.pop() if len(consts) == 1 else None
         expect = fixture["constants"].get(str(n))
         closed = (n - 1) * (6 - n) // 2
-        ok = derived is not None and derived == expect == closed and companion_ok
+        # past the fixture's range the closed form is the only reference
+        ok = derived == closed and expect in (None, closed) and companion_ok
+        seen = "fixture has no entry" if expect is None else f"fixture {expect}"
         checks.append(
             Check(
                 f"kn-area n={n}",
                 ok,
-                f"derived c({n})={derived}, fixture {expect}, closed form {closed}",
+                f"derived c({n})={derived}, {seen}, closed form {closed}",
             )
         )
     return checks

@@ -65,27 +65,6 @@ def is_parking_function(seq: Sequence[int]) -> bool:
     return all(v <= i for i, v in enumerate(sorted(seq), start=1))
 
 
-def kn_stabilize(config: KnConfig) -> tuple[KnConfig, tuple[int, ...]]:
-    """Topple until stable; one grain of every topple goes to the sink."""
-    n = config.n
-    deg = n - 1
-    h = list(config.heights)
-    counts = [0] * (n - 1)
-    while True:
-        moved = False
-        for i in range(n - 1):
-            if h[i] >= deg:
-                k = h[i] // deg
-                h[i] -= k * deg
-                counts[i] += k
-                for j in range(n - 1):
-                    if j != i:
-                        h[j] += k
-                moved = True
-        if not moved:
-            return KnConfig(n, h), tuple(counts)
-
-
 def _burning_run(config: KnConfig) -> tuple[tuple[int, ...], list[frozenset[int]]]:
     """+1 everywhere (the sink fires), then parallel waves until stable."""
     n = config.n

@@ -293,9 +293,6 @@ class CellSet:
             return None
         return ParaPolyomino._trusted(m, self.n, top, bot)
 
-    def is_para(self) -> bool:
-        return self.as_para() is not None
-
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "cells": sorted(map(list, self.cells))}
 
@@ -428,16 +425,6 @@ def is_para_partitions(lam: Sequence[int], mu: Sequence[int]) -> bool:
         if not lamv < n - i:
             return False
     return True
-
-
-def heights_from_partitions(
-    lam: Sequence[int], mu: Sequence[int]
-) -> HeightSeqs:
-    """Complement substitution a_i = n - 1 - lam_i, b_j = m - 1 - mu_j."""
-    m, n = len(lam), len(mu)
-    a = tuple(n - 1 - lam[i] for i in range(m - 1))
-    b = tuple(m - 1 - mu[j] for j in range(n))
-    return HeightSeqs(m, n, a, b)
 
 
 # -- bounce-run helpers ------------------------------------------------------

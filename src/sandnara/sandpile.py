@@ -97,12 +97,6 @@ class BipartiteConfig:
     def is_stable(self) -> bool:
         return max(self.top, default=0) < self.n and max(self.bottom) < self.m
 
-    def is_increasing(self) -> bool:
-        t, b = self.top, self.bottom
-        return all(x <= y for x, y in zip(t, t[1:])) and all(
-            x <= y for x, y in zip(b, b[1:])
-        )
-
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "heights": list(self.heights)}
 

@@ -167,3 +167,38 @@ def test_main_runs_every_workload_into_one_file(tmp_path):
     assert order == [[side, w, seed, "0"] for side, w, seed in pair_runs] + [
         [side, w, seed, "1"] for w in ("enum", "series")
         for seed, sides in (("8", "pc"), ("9", "cp")) for side in sides]
+
+
+def test_main_keeps_finished_pairs_when_a_late_run_fails(tmp_path, monkeypatch):
+    parent, change = fake_tree(tmp_path / "p", 1.0), fake_tree(tmp_path / "c", 0.5)
+    out = tmp_path / "BENCH.json"
+    run_once = bench_pairs.run_once
+
+    def failing_when_traced(tree, command, workload, seed, seconds, trace):
+        if trace:
+            raise RuntimeError("traced run failed")
+        return run_once(tree, command, workload, seed, seconds, trace)
+
+    monkeypatch.setattr(bench_pairs, "run_once", failing_when_traced)
+    with pytest.raises(RuntimeError, match="traced run failed"):
+        bench_pairs.main([
+            "--parent", str(parent), "--change", str(change), "--workload", "enum", "series",
+            "--seeds", "1-3", "--trace-seed", "8", "--out", str(out),
+        ])
+    doc = json.loads(out.read_text())
+    for w in doc["workloads"].values():
+        assert [p["seed"] for p in w["pairs"]] == [1, 2, 3]
+        assert w["summary"]["wall_s"]["pairs"] == 3
+    assert sorted(doc["workloads"]) == ["enum", "series"]
+    assert "traced_enum" not in doc
+
+
+def test_timed_out_run_is_not_completed(tmp_path, monkeypatch):
+    def timeout(args, **kwargs):
+        raise bench_pairs.subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", timeout)
+    trees = {side: tmp_path for side in ("parent", "change")}
+    not_completed = []
+    assert bench_pairs.run_pair(trees, ["run"], 3, "enum", 0, 5, not_completed) is None
+    assert not_completed == ["enum seed 5, parent side: no result line (timed out after 360 s)"]

@@ -377,6 +377,14 @@ class TestVerify:
         data = run_json(capsys, "verify", "kn-area", "--max", "5")
         assert data["passed"] is True
 
+    def test_kn_area_past_fixture(self, capsys):
+        # the fixture stops at n = 8; n = 9 is checked against the closed form
+        data = run_json(capsys, "verify", "kn-area", "--max", "9")
+        assert data["passed"] is True
+        last = data["checks"][-1]
+        assert last["name"] == "kn-area n=9" and last["holds"] is True
+        assert last["detail"] == "derived c(9)=-12, fixture has no entry, closed form -12"
+
     def test_abelian_seeded(self, capsys):
         data = run_json(
             capsys,

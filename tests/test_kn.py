@@ -27,7 +27,6 @@ from sandnara.kn import (
     kn_canon_top,
     kn_is_recurrent,
     kn_is_recurrent_burning,
-    kn_stabilize,
     olson_check,
     sn_poly,
 )
@@ -113,12 +112,6 @@ class TestRecurrence:
             if kn_is_recurrent(KnConfig(n, x))
         )
         assert cnt == n ** (n - 2)
-
-    def test_stabilize_conserves_modulo_sink(self):
-        cfg = KnConfig(4, (7, 0, 2))
-        final, counts = kn_stabilize(cfg)
-        assert final.is_stable()
-        assert sum(final.heights) == sum(cfg.heights) - sum(counts)
 
 
 class TestCanonTop:

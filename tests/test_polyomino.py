@@ -13,7 +13,6 @@ from sandnara.polyomino import (
     count_para,
     ebounce,
     enumerate_para,
-    heights_from_partitions,
     is_para_partitions,
     is_para_sequences,
     narayana_number,
@@ -80,7 +79,7 @@ class TestCellsFromHeights:
         assert cs.cells == frozenset(
             {(1, 1), (2, 1), (4, 3), (5, 3), (6, 3), (7, 4)}
         )
-        assert not cs.is_para()
+        assert cs.as_para() is None
 
     def test_single_cell(self):
         cs = cells_from_heights(HeightSeqs(1, 1, (), (0,)))
@@ -140,7 +139,9 @@ class TestSequenceCharacterization:
             for m in range(1, s):
                 n = s - m
                 for h in all_height_seqs(m, n):
-                    assert is_para_sequences(h) == cells_from_heights(h).is_para()
+                    assert is_para_sequences(h) == (
+                        cells_from_heights(h).as_para() is not None
+                    )
 
 
 class TestPartitionCharacterization:
@@ -162,7 +163,6 @@ class TestPartitionCharacterization:
             if lam != lam_sorted or mu != tuple(sorted(mu, reverse=True)):
                 continue
             assert is_para_partitions(lam, mu) == is_para_sequences(h)
-            assert heights_from_partitions(lam, mu) == h
 
 
 class TestAreas:
@@ -175,7 +175,7 @@ class TestAreas:
         assert p.area == 4
 
     def test_ribbon_area_is_minimal(self):
-        h = heights_from_partitions((2, 2, 2, 1, 1, 1, 0), (6, 3, 0, 0))
+        h = HeightSeqs(7, 4, (1, 1, 1, 2, 2, 2), (0, 3, 6, 6))
         p = cells_from_heights(h).as_para()
         assert p.area == 7 + 4 - 1 == 10
         assert p.is_ribbon()

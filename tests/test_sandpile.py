@@ -104,7 +104,7 @@ class TestRecurrence:
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3), (3, 3), (3, 4)])
     def test_image_polyomino_iff_recurrent(self, m, n):
         for cfg in all_stable(m, n):
-            assert is_recurrent(cfg) == cell_image(cfg).is_para()
+            assert is_recurrent(cfg) == (cell_image(cfg).as_para() is not None)
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
     def test_wave_sizes_equal_bounce_runs(self, m, n):
@@ -276,7 +276,8 @@ class TestIncDecomp:
     def test_round_trip(self, m, n):
         for cfg in all_stable(m, n):
             inc, perm = inc_decomp(cfg)
-            assert inc.is_increasing()
+            assert inc.top == tuple(sorted(inc.top))
+            assert inc.bottom == tuple(sorted(inc.bottom))
             rebuilt = tuple(inc.heights[perm[i] - 1] for i in range(m + n - 1))
             assert rebuilt == cfg.heights
 
@@ -295,7 +296,7 @@ class TestCellImage:
         assert cells == cells_from_heights(
             HeightSeqs(7, 4, (0, 0, 1, 2, 2, 2), (1, 1, 5, 6))
         )
-        assert not cells.is_para()
+        assert cells.as_para() is None
 
     def test_l_shape(self):
         cfg = BipartiteConfig(2, 2, (0, 1, 1))
@@ -445,7 +446,8 @@ class TestEnumerateRec:
 
     def test_star_yields_increasing(self):
         for cfg in enumerate_rec_star(3, 4):
-            assert cfg.is_increasing()
+            assert cfg.top == tuple(sorted(cfg.top))
+            assert cfg.bottom == tuple(sorted(cfg.bottom))
             assert is_recurrent(cfg)
 
     def test_cap(self):

@@ -33,8 +33,10 @@ spread (IQR / median), and a verdict per metric.  A metric whose parent
 spread exceeds its bound is 'unresolved' unless every change run beats every
 parent run.  With --claim W M, the claim rule is checked on metric M of
 workload W: the change wins at least nine tenths of the pairs and beats the
-parent median by more than the parent IQR.  The output file is written once,
-after the last run.
+parent median by more than the parent IQR.  The output file is written
+after each completed pair, untraced or traced, and again at the end, so a
+run that fails late keeps every pair before it; a run that times out is
+listed under runs_not_completed like one that printed no result line.
 
 Standard library only: it reads numbers off the benchmark's result lines
 and machine information off the report the benchmark writes to .bench_out/
@@ -176,8 +178,11 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int,
     """One benchmark run in `tree`: (result line or None, stderr tail)."""
     args = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(args, cwd=tree, capture_output=True, text=True,
-                          timeout=seconds * 20 + 300)
+    try:
+        done = subprocess.run(args, cwd=tree, capture_output=True, text=True,
+                              timeout=seconds * 20 + 300)
+    except subprocess.TimeoutExpired as exc:
+        return None, f"timed out after {exc.timeout:g} s"
     lines = done.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
@@ -256,48 +261,59 @@ def main(argv: list[str] | None = None) -> int:
         "runs_not_completed": [],
     }
     pairs_of: dict[str, list[dict]] = {workload: [] for workload in args.workload}
+    traced_of: dict[str, list[dict]] = {workload: [] for workload in args.workload}
+
+    def save() -> None:
+        """Write the document over every pair completed so far."""
+        for workload, pairs in pairs_of.items():
+            if not pairs:
+                continue
+            if doc["machine"] is None:
+                doc["machine"] = machine(trees["change"], workload, pairs[0]["seed"], 0)
+            doc["workloads"][workload] = {
+                "seeds": sorted({p["seed"] for p in pairs}),
+                "pairs": pairs,
+                "summary": {m["name"]: summarize(pairs, m) for m in metrics},
+                "checks": {
+                    "parent": sum(p["parent"]["failed"] for p in pairs),
+                    "change": sum(p["change"]["failed"] for p in pairs),
+                    "attempted_parent": sum(p["parent"]["attempted"] for p in pairs),
+                    "attempted_change": sum(p["change"]["attempted"] for p in pairs),
+                },
+            }
+            traced = traced_of[workload]
+            if traced:
+                doc[f"traced_{workload}"] = {"pairs": traced, **compare_traced(traced)}
+        if args.claim and args.claim[0] in doc["workloads"]:
+            workload, metric = args.claim
+            doc["claim"] = claim(doc["workloads"][workload]["summary"], metric, workload,
+                                 doc["workloads"][workload]["seeds"])
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
     for i, seed in enumerate(args.seeds):
         for workload in args.workload:
             pair = run_pair(trees, command, seconds, workload, i, seed, doc["runs_not_completed"])
             if pair is not None:
                 pairs_of[workload].append(pair)
+                save()
     for workload, pairs in pairs_of.items():
         if not pairs:
             continue
-        if doc["machine"] is None:
-            doc["machine"] = machine(trees["change"], workload, pairs[0]["seed"], 0)
-        summary = {m["name"]: summarize(pairs, m) for m in metrics}
-        doc["workloads"][workload] = {
-            "seeds": sorted({p["seed"] for p in pairs}),
-            "pairs": pairs,
-            "summary": summary,
-            "checks": {
-                "parent": sum(p["parent"]["failed"] for p in pairs),
-                "change": sum(p["change"]["failed"] for p in pairs),
-                "attempted_parent": sum(p["parent"]["attempted"] for p in pairs),
-                "attempted_change": sum(p["change"]["attempted"] for p in pairs),
-            },
-        }
-        for name, s in summary.items():
+        for name, s in doc["workloads"][workload]["summary"].items():
             print(f"{workload} {name}: {s['parent']['median']:.6g} -> {s['change']['median']:.6g} "
                   f"({100 * s['median_change_rel']:+.1f}%, wins {s['change_wins']}/{s['pairs']}, "
                   f"spread {100 * s['parent_spread_rel']:.0f}%): {s['verdict']}", file=sys.stderr)
-
-        traced = [run_pair(trees, command, seconds, workload, i, seed,
-                           doc["runs_not_completed"], trace=1)
-                  for i, seed in enumerate(args.trace_seed or ())]
-        traced = [pair for pair in traced if pair is not None]
-        if traced:
-            doc[f"traced_{workload}"] = {"pairs": traced, **compare_traced(traced)}
+        for i, seed in enumerate(args.trace_seed or ()):
+            pair = run_pair(trees, command, seconds, workload, i, seed,
+                            doc["runs_not_completed"], trace=1)
+            if pair is not None:
+                traced_of[workload].append(pair)
+                save()
 
     if not doc["workloads"]:
         print("error: no pair completed", file=sys.stderr)
         return 1
-    if args.claim and args.claim[0] in doc["workloads"]:
-        workload, metric = args.claim
-        doc["claim"] = claim(doc["workloads"][workload]["summary"], metric, workload,
-                             doc["workloads"][workload]["seeds"])
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    save()
     return 0
 
 
