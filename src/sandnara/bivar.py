@@ -248,12 +248,10 @@ class BivarPoly:
         if x.size > y.size:
             x, y = y, x
         y = y.astype(object)
-        h, w = y.shape
-        out = np.zeros((x.shape[0] + h - 1, x.shape[1] + w - 1), dtype=object)
         i, j = np.nonzero(x)
-        for r, s, c in zip(i.tolist(), j.tolist(), x[i, j].tolist()):
-            out[r : r + h, s : s + w] += c * y
-        return BivarPoly._from_block(a0 + b0, w0 + v0, out)
+        cells = zip(i.tolist(), j.tolist(), x[i, j].tolist())
+        parts = [(a0 + b0 + r, w0 + v0 + s, c * y) for r, s, c in cells]
+        return BivarPoly._from_block(*_sum_blocks(parts, object))
 
     __rmul__ = __mul__
 

@@ -230,6 +230,8 @@ def matrix_of_config(config: BipartiteConfig) -> BicompMatrix:
     n = config.n
     if config.m != n:
         raise NotMinanz("matrix correspondence needs a square configuration")
+    if n < 2:
+        raise NotMinanz(f"matrix correspondence needs n >= 2, got n = {n}")
     burnt = _require_recurrent(config)
     if not _minanz_heights(config):
         raise NotMinanz(f"{config!r} is not minanz")

@@ -102,10 +102,15 @@ def _emit_csv(obj: dict, writer) -> None:
         for term in obj["terms"]:
             writer.writerow([term["q"], term["t"], term["c"]])
     elif "checks" in obj:
-        writer.writerow(["name", "holds", "detail"])
+        writer.writerow(["name", "holds", "detail", "conjecture"])
         for chk in obj["checks"]:
             writer.writerow(
-                [chk.get("name", ""), chk.get("holds", ""), chk.get("detail", "")]
+                [
+                    chk.get("name", ""),
+                    chk.get("holds", ""),
+                    chk.get("detail", ""),
+                    chk.get("conjecture", False),
+                ]
             )
     else:
         writer.writerow(sorted(obj))

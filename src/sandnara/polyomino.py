@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -137,12 +138,7 @@ class ParaPolyomino:
         return _profile_to_word(self.bot, self.n)
 
     def cells(self) -> "CellSet":
-        cs = frozenset(
-            (i + 1, j)
-            for i in range(self.m)
-            for j in range(self.bot[i] + 1, self.top[i] + 1)
-        )
-        return CellSet(self.m, self.n, cs)
+        return _cell_set(self.m, self.n, self.top, self.bot)
 
     # -- statistics ------------------------------------------------------
 
@@ -270,31 +266,33 @@ class CellSet:
     def as_para(self) -> ParaPolyomino | None:
         """The cell set as a parallelogram polyomino, or None if it is not one.
 
-        One pass over the cells records each column's lowest and highest row
-        and its cell count; a column is a contiguous run exactly when the
-        count spans the two.
+        One pass over the cells reads each column's highest row as top and
+        lowest row minus one as bot.  Once `_profiles_valid` has rejected an
+        empty column, every cell lies in its column's span (bot, top], so
+        the set fills them all exactly when it has sum(top) - sum(bot) cells.
         """
         m = self.m
         low = [self.n + 1] * (m + 1)
         high = [0] * (m + 1)
-        count = [0] * (m + 1)
         for i, j in self.cells:
-            count[i] += 1
             if j < low[i]:
                 low[i] = j
             if j > high[i]:
                 high[i] = j
-        for i in range(1, m + 1):
-            if not count[i] or high[i] - low[i] + 1 != count[i]:
-                return None
         top = tuple(high[1:])
         bot = tuple(j - 1 for j in low[1:])
-        if not _profiles_valid(m, self.n, top, bot):
+        if not _profiles_valid(m, self.n, top, bot) or len(self.cells) != sum(top) - sum(bot):
             return None
         return ParaPolyomino._trusted(m, self.n, top, bot)
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "cells": sorted(map(list, self.cells))}
+
+
+def _cell_set(m: int, n: int, top: Sequence[int], bot: Sequence[int]) -> CellSet:
+    """The cells (i, j) with bot[i-1] < j <= top[i-1]; bot >= top leaves column i empty."""
+    cells = zip(range(1, m + 1), top, bot)
+    return CellSet(m, n, frozenset((i, j) for i, t, b in cells for j in range(b + 1, t + 1)))
 
 
 @dataclass(frozen=True)
@@ -343,17 +341,10 @@ def para_from_paths(upper: str, lower: str) -> ParaPolyomino:
 
 def profiles_from_heights(h: HeightSeqs) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(top, bot) profiles of the cell diagram of h (`cells_from_heights`):
-    column i < m reaches row 1 + a_i and column m row n; a column's lowest
-    row is the first j with 1 + b_j >= i, one pointer sweep over the weakly
-    increasing b.  An empty column gets bot >= top; nothing is validated."""
-    m, n, a, b = h.m, h.n, h.a, h.b
-    bot = []
-    j = 1
-    for i in range(1, m + 1):
-        while j <= n and b[j - 1] < i - 1:
-            j += 1
-        bot.append(j - 1)
-    return (*(a_i + 1 for a_i in a), n), tuple(bot)
+    column i < m reaches row 1 + a_i and column m row n; bot[i] is the rank
+    #{j : b_j < i} in the weakly increasing b, the rows below column i + 1.
+    An empty column gets bot >= top; nothing is validated."""
+    return (*(a_i + 1 for a_i in h.a), h.n), tuple(bisect_left(h.b, i) for i in range(h.m))
 
 
 def cells_from_heights(h: HeightSeqs) -> CellSet:
@@ -363,15 +354,7 @@ def cells_from_heights(h: HeightSeqs) -> CellSet:
     height, and row j is truncated to width 1 + b_j.  The result may fail to
     be a polyomino.
     """
-    top, bot = profiles_from_heights(h)
-    # filled cell by cell into a set, so the frozenset copy iterates, and
-    # prints, in the order it always has
-    cells = {
-        (i, j)
-        for i, t, b in zip(range(1, h.m + 1), top, bot)
-        for j in range(b + 1, t + 1)
-    }
-    return CellSet(h.m, h.n, frozenset(cells))
+    return _cell_set(h.m, h.n, *profiles_from_heights(h))
 
 
 def is_para_sequences(h: HeightSeqs) -> bool:

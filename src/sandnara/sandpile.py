@@ -34,6 +34,7 @@ ones the literal wave-by-wave process produces.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
@@ -305,19 +306,17 @@ def inc_decomp(config: BipartiteConfig) -> tuple[BipartiteConfig, tuple[int, ...
     The permutation pi is 1-based with u_i = sorted[pi(i)] and is the
     lexicographically smallest among block-preserving choices: scanning
     positions in order, each value takes the smallest unused sorted slot
-    that holds it.
+    that holds it.  A stable sort of the block's positions by value is that
+    choice: the k-th position in sorted order takes the block's slot k.
     """
     m, n = config.m, config.n
     perm = [0] * (m + n - 1)
     inc: list[int] = []
     for lo, block in ((0, config.top), (m - 1, config.bottom)):
-        order = sorted(block)
-        inc.extend(order)
-        slots: dict[int, list[int]] = {}
-        for pos in range(len(order) - 1, -1, -1):
-            slots.setdefault(order[pos], []).append(lo + pos + 1)
-        for i, v in enumerate(block):
-            perm[lo + i] = slots[v].pop()
+        order = sorted(range(len(block)), key=block.__getitem__)
+        inc.extend(block[i] for i in order)
+        for k, i in enumerate(order):
+            perm[lo + i] = lo + k + 1
     return BipartiteConfig(m, n, inc), tuple(perm)
 
 
@@ -337,15 +336,11 @@ def cell_image(config: BipartiteConfig) -> CellSet:
 
 def config_of_para(poly: ParaPolyomino) -> BipartiteConfig:
     """Increasing recurrent configuration whose cell image is the polyomino:
-    a_i = (top of column i) - 1, b_j = (right end of row j) - 1."""
+    a_i = (top of column i) - 1, b_j = (right end of row j) - 1, which is the
+    rank #{i : bot_i < j} - 1 in the weakly increasing bot (>= 0 as bot_0 = 0)."""
     m, n, bot = poly.m, poly.n, poly.bot
     a = [t - 1 for t in poly.top[: m - 1]]
-    b = []
-    right = 0  # 0-based rightmost column whose lower path lies below row j
-    for j in range(1, n + 1):
-        while right + 1 < m and bot[right + 1] < j:
-            right += 1
-        b.append(right)
+    b = [bisect_left(bot, j) - 1 for j in range(1, n + 1)]
     return BipartiteConfig(m, n, a + b)
 
 

@@ -178,6 +178,13 @@ class TestMatrixCorrespondence:
         with pytest.raises(NotMinanz):
             matrix_of_config(BipartiteConfig(2, 3, (1, 0, 1, 1)))
 
+    def test_rejects_n_1(self):
+        # the one state of K_{1,1} is minanz and top-heavy, but has no matrix
+        cfg = BipartiteConfig(1, 1, (0,))
+        assert list(enumerate_minanz(1, 1)) == [cfg] and is_top_heavy(cfg)
+        with pytest.raises(NotMinanz, match="needs n >= 2"):
+            matrix_of_config(cfg)
+
     def test_invalid_matrices(self):
         with pytest.raises(InvalidMatrix):
             BicompMatrix.from_lists([[set(), {1}], [set(), {2}]])  # empty column

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, round trips, exit codes."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -251,6 +253,14 @@ class TestMap:
         assert out == ""
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("what", ["to-matrix", "to-poset"])
+    def test_matrix_maps_refuse_n_1_exit_2(self, capsys, what):
+        code, out, err = run(capsys, "map", what, "--n", "1", "--heights", "0")
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "NotMinanz"
+        assert "needs n >= 2" in error["detail"]
+
 
 class TestPoly:
     def test_matrix_format(self, capsys):
@@ -372,6 +382,32 @@ class TestVerify:
         flags = {c["name"]: c["holds"] for c in data["checks"]}
         assert flags["conjecture-a145600 n=2"] is True
         assert flags["conjecture-a145600 n=3"] is False
+
+    def test_csv_carries_conjecture_flag(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "conjecture-a145600", "--max", "4", "--format", "csv"
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        n3 = next(r for r in rows if r["name"] == "conjecture-a145600 n=3")
+        assert (n3["holds"], n3["conjecture"]) == ("False", "True")
+        code, out, _ = run(capsys, "verify", "counts", "--max", "4", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(r["conjecture"] == "False" for r in rows)
+
+    def test_counts_brute(self, capsys):
+        data = run_json(capsys, "verify", "counts", "--max", "5", "--brute")
+        assert data["passed"] is True
+        burning = {
+            c["name"]: c["holds"]
+            for c in data["checks"]
+            if c["name"].startswith("recurrent count (burning filter)")
+        }
+        assert burning == {
+            f"recurrent count (burning filter) {box}": True
+            for box in ("2,2", "2,3", "3,2")
+        }
 
     def test_kn_area(self, capsys):
         data = run_json(capsys, "verify", "kn-area", "--max", "5")

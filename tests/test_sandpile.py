@@ -286,6 +286,22 @@ class TestIncDecomp:
             inc, _ = inc_decomp(cfg)
             assert canon_top(cfg).sizes() == canon_top(inc).sizes()
 
+    @pytest.mark.parametrize("m,n", itertools.product(range(1, 4), repeat=2))
+    def test_perm_is_lexicographically_smallest(self, m, n):
+        # brute force over every block-preserving pi with sorted[pi(i)] = u_i
+        for heights in itertools.product(range(3), repeat=m + n - 1):
+            cfg = BipartiteConfig(m, n, heights)
+            want_inc = tuple(sorted(cfg.top)) + tuple(sorted(cfg.bottom))
+            fits = [
+                top + bottom
+                for top in itertools.permutations(range(1, m))
+                for bottom in itertools.permutations(range(m, m + n))
+                if all(want_inc[p - 1] == u for p, u in zip(top + bottom, heights))
+            ]
+            inc, perm = inc_decomp(cfg)
+            assert inc.heights == want_inc
+            assert perm == min(fits)
+
 
 class TestCellImage:
     def test_disconnected_example(self):
