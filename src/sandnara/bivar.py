@@ -6,7 +6,8 @@ q^(a0+i) t^(w0+j).  The block is trimmed to the bounding box of its non-zero
 cells, and the zero polynomial is the empty block at (0, 0), so equal values
 have equal offsets and equal cells.  It is a read-only array owned by the
 value.  The routes of `qt` hand their blocks over as they are; the public
-constructor lays its terms into a block.
+constructor lays its terms into a block, whose cells it first charges
+against the object cap (see `config.guard_count`).
 
 Arithmetic (+, -, *, integer scaling) runs on object-dtype blocks, whose
 cells are Python ints, so it never wraps.  A route output keeps the dtype
@@ -24,6 +25,8 @@ from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence, Va
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .config import guard_count
 
 Term = tuple[int, int]
 
@@ -167,7 +170,9 @@ class BivarPoly:
                     del clean[key]
         qs, ts = zip(*clean) if clean else ((), ())
         a0, w0 = min(qs, default=0), min(ts, default=0)
-        arr = np.zeros((max(qs, default=-1) - a0 + 1, max(ts, default=-1) - w0 + 1), dtype=object)
+        rows, cols = max(qs, default=-1) - a0 + 1, max(ts, default=-1) - w0 + 1
+        guard_count(rows * cols, None, "BivarPoly block", "cells")
+        arr = np.zeros((rows, cols), dtype=object)
         for (a, b), c in clean.items():
             arr[a - a0, b - w0] = c
         object.__setattr__(self, "_block", _trim(a0, w0, arr))

@@ -31,7 +31,6 @@ from .errors import (
     VertexNotToppled,
     json_field,
 )
-from .polyomino import narayana_number
 from .sandpile import (
     BipartiteConfig,
     burn,
@@ -40,30 +39,6 @@ from .sandpile import (
     _distinct_perms,
     _require_recurrent,
 )
-
-__all__ = [
-    "BicompMatrix",
-    "IntervalOrder",
-    "is_minimal",
-    "is_minanz",
-    "is_top_heavy",
-    "wave",
-    "matrix_of_config",
-    "config_of_matrix",
-    "poset_of_matrix",
-    "matrix_of_poset",
-    "config_of_poset",
-    "dual_poset",
-    "is_two_plus_two_free",
-    "enumerate_minanz",
-    "count_minimal",
-    "count_minanz",
-    "count_sqrec",
-    "stirling2",
-    "narayana_number",
-    "count_nonzero_star",
-    "NonzeroStarReport",
-]
 
 
 # -- predicates ---------------------------------------------------------------
@@ -321,36 +296,26 @@ class IntervalOrder:
     ) -> "IntervalOrder":
         """The order in chain form: strictly increasing down-sets
         D_0 = {} < D_1 < ... < D_{k-1} together with the level sets L_i of
-        elements whose down-set equals D_i."""
+        elements whose down-set equals D_i.  A chain form is valid exactly
+        when it round-trips through its matrix: the words read off it make an
+        interval order with these down-sets and levels."""
         k = len(downsets)
-        if k < 1 or len(levels) != k:
-            raise NotIntervalOrder("downsets and levels must align")
-        if downsets[0]:
-            raise NotIntervalOrder("D_0 must be empty")
-        for a, b in zip(downsets, downsets[1:]):
-            if not (a < b):
-                raise NotIntervalOrder("down-sets must strictly increase")
-        ground = set()
-        for lv in levels:
-            if not lv or ground & lv:
-                raise NotIntervalOrder("levels must be disjoint and non-empty")
-            ground |= lv
-        if sorted(ground) != list(range(1, n + 1)):
-            raise NotIntervalOrder("levels must partition {1..n}")
-        if any(not d <= ground for d in downsets):
-            raise NotIntervalOrder("down-sets must be subsets of the ground set")
-        for i in range(k):
-            if levels[i] & downsets[i]:
-                raise NotIntervalOrder("an element cannot sit in its own down-set")
-        if downsets[-1] >= ground:
-            raise NotIntervalOrder("top down-set cannot be the whole ground set")
         level_of = {x: i for i, lv in enumerate(levels) for x in lv}
         # x in D_j for the first time: column j - 1 (the smallest j is written
         # last); x outside the top down-set: the last column
         column_of = {x: j - 1 for j in range(k - 1, 0, -1) for x in downsets[j]}
-        row_of = tuple(level_of[x] for x in range(1, n + 1))
-        col_of = tuple(column_of.get(x, k - 1) for x in range(1, n + 1))
-        return cls(BicompMatrix(k, row_of, col_of))
+        ground = range(1, n + 1)
+        try:
+            row_of = tuple(level_of[x] for x in ground)
+            col_of = tuple(column_of.get(x, k - 1) for x in ground)
+            order = cls(BicompMatrix(k, row_of, col_of))
+        except KeyError as exc:
+            raise NotIntervalOrder(f"element {exc} is in no level") from exc
+        except (InvalidMatrix, NotUpperTriangular) as exc:
+            raise NotIntervalOrder(f"chain form has no interval-order matrix: {exc}") from exc
+        if order.downsets != downsets or order.levels != levels:
+            raise NotIntervalOrder("chain form does not round-trip through its matrix")
+        return order
 
     @classmethod
     def from_relation(
@@ -358,20 +323,21 @@ class IntervalOrder:
     ) -> "IntervalOrder":
         """Normalize a strict order relation on {1..n} into chain form.
 
-        Raises NotIntervalOrder when the relation is not a strict partial
-        order or its down-sets are not linearly ordered by inclusion.
+        Raises NotIntervalOrder when a pair is out of range or reflexive, or
+        the down-sets are not linearly ordered by inclusion.  Irreflexive
+        pairs whose down-sets form a chain are a strict partial order: with
+        x < y < z and x not below z, x is in down(y) but not in down(z), so
+        down(z) is strictly inside down(y), yet y is in down(z) and not in
+        down(y); and x < y < x puts each element in the other's down-set, so
+        the smaller of the two holds its own element.
         """
         rel = set(pairs)
         for (x, y) in rel:
             if not (1 <= x <= n and 1 <= y <= n) or x == y:
                 raise NotIntervalOrder(f"bad pair {(x, y)}")
-            if (y, x) in rel:
-                raise NotIntervalOrder("relation is not antisymmetric")
-        for (x, y) in list(rel):
-            for (y2, z) in list(rel):
-                if y2 == y and (x, z) not in rel:
-                    raise NotIntervalOrder("relation is not transitive")
         down = {x: frozenset(a for (a, b) in rel if b == x) for x in range(1, n + 1)}
+        # checked here although the round trip would refuse a non-chain too:
+        # its message would then depend on the set iteration order
         distinct = sorted(set(down.values()), key=len)
         for a, b in zip(distinct, distinct[1:]):
             if not a < b:
@@ -383,7 +349,8 @@ class IntervalOrder:
 
 
 def is_two_plus_two_free(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
-    """Chain test on the down-sets of a strict partial order on {1..n}."""
+    """Whether the pairs are a (2+2)-free strict order on {1..n}: the chain
+    test on their down-sets, which also implies the order axioms."""
     try:
         IntervalOrder.from_relation(n, pairs)
     except NotIntervalOrder:

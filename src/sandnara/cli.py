@@ -196,17 +196,25 @@ def cmd_check(args) -> int:
 
 
 def _map_needs(args) -> None:
-    """Reject a map call that lacks an argument its direction needs."""
+    """Reject a map call that passes an argument its direction does not read,
+    or lacks one it needs."""
     if args.inverse or args.what == "upsilon":
         needed = ("input",)
     elif args.what == "to-polyomino":
         needed = ("m", "n", "heights")
     else:
         needed = ("n", "heights")
+    call = f"map {args.what}{' --inverse' if args.inverse else ''}"
+    unread = [
+        f"--{name}"
+        for name in ("m", "n", "heights", "input")
+        if name not in needed and getattr(args, name) is not None
+    ]
+    if unread:
+        raise ValueError(f"{call} does not take {', '.join(unread)}")
     missing = [f"--{name}" for name in needed if getattr(args, name) is None]
     if missing:
-        how = " --inverse" if args.inverse else ""
-        raise ValueError(f"map {args.what}{how} needs {' '.join(missing)}")
+        raise ValueError(f"{call} needs {' '.join(missing)}")
 
 
 def cmd_map(args) -> int:

@@ -29,6 +29,9 @@ that shares nothing with them:
   `check_bicomp_words` are the constructor checks of the value types written
   element by element, in the order the library reports faults, with the
   library's messages.
+* `chain_form_by_rules` is the verdict on a chain form of an interval
+  order by the eight rules it must meet, one by one, where the library asks
+  only that the form round-trip through its matrix.
 
 The complete-graph references raise the exception types of the library maps
 on inputs outside their domains.
@@ -316,3 +319,30 @@ def check_bicomp_words(k, rows, cols) -> None:
         if i not in set(cols):
             raise InvalidMatrix(f"column {i + 1} is empty")
 
+
+
+def chain_form_by_rules(n: int, downsets, levels) -> bool:
+    """Whether (down-sets, levels) is the chain form of an interval order on
+    {1..n}: as many levels as down-sets, at least one; D_0 empty; the
+    down-sets strictly increasing; the levels disjoint, non-empty and
+    covering exactly {1..n}; the down-sets inside the ground set; no element
+    in its own down-set; and the top down-set short of the ground set."""
+    k = len(downsets)
+    if k < 1 or len(levels) != k:
+        return False
+    if downsets[0]:
+        return False
+    if any(not a < b for a, b in zip(downsets, downsets[1:])):
+        return False
+    ground = set()
+    for lv in levels:
+        if not lv or ground & lv:
+            return False
+        ground |= lv
+    if sorted(ground) != list(range(1, n + 1)):
+        return False
+    if any(not d <= ground for d in downsets):
+        return False
+    if any(levels[i] & downsets[i] for i in range(k)):
+        return False
+    return not downsets[-1] >= ground

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sandnara import bivar, qt
 from sandnara.bivar import BivarPoly, QtSeries, _sum_blocks
+from sandnara.errors import ResourceLimit
 from sandnara.qt import (
     narayana_poly,
     poly_to_array,
@@ -75,6 +76,23 @@ class TestBasics:
         big = 10**40
         p = BivarPoly({(0, 0): big})
         assert (p * p).coeff(0, 0) == big * big
+
+    def test_integer_scaling(self):
+        p = BivarPoly({(0, 1): 2, (3, 0): -1})
+        assert p * 3 == 3 * p == BivarPoly({(0, 1): 6, (3, 0): -3})
+        assert (p * 0).is_zero()
+
+    def test_constructor_charges_its_block(self, monkeypatch):
+        # two terms (d, d) apart lay out (d + 1)^2 cells
+        monkeypatch.setenv("SANDPILE_MAX_OBJECTS", "10000")
+        assert BivarPoly({(0, 0): 1, (99, 99): 1}).max_degrees() == (99, 99)
+        with pytest.raises(
+            ResourceLimit, match=r"^BivarPoly block: 10201 cells exceeds cap 10000$"
+        ):
+            BivarPoly({(0, 0): 1, (100, 100): 1})
+        monkeypatch.setenv("SANDPILE_MAX_OBJECTS", "many")
+        with pytest.raises(ValueError, match="SANDPILE_MAX_OBJECTS must be an integer"):
+            BivarPoly.zero()
 
 
 class TestSerialization:

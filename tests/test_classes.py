@@ -122,6 +122,12 @@ class TestWave:
         with pytest.raises(VertexNotToppled):
             wave(BipartiteConfig(2, 2, (0, 0, 0)), 1)
 
+    @pytest.mark.parametrize("vertex", [0, 10])
+    def test_vertex_out_of_range(self, vertex):
+        # SQREC5 has the vertices v_1..v_9
+        with pytest.raises(ValueError, match=f"^vertex {vertex} out of range$"):
+            wave(SQREC5, vertex)
+
 
 class TestMatrixCorrespondence:
     def test_sqrec8_matrix(self):
@@ -328,6 +334,42 @@ class TestPosetCorrespondence:
         rebuilt = IntervalOrder.from_relation(7, order.relation_pairs())
         assert rebuilt == order
 
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [(2, [(1, 2), (2, 1)]), (3, [(1, 2), (2, 3)]), (3, [(1, 2), (2, 3), (3, 1)])],
+        ids=["not-antisymmetric", "not-transitive", "cycle"],
+    )
+    def test_non_orders_fail_the_chain_test(self, n, pairs):
+        # irreflexive pairs with chained down-sets are already a strict order
+        with pytest.raises(NotIntervalOrder, match="^down-sets are not a chain under inclusion$"):
+            IntervalOrder.from_relation(n, pairs)
+
+    @pytest.mark.parametrize("pair", [(1, 1), (0, 1), (1, 4)])
+    def test_bad_pairs(self, pair):
+        with pytest.raises(NotIntervalOrder, match=r"^bad pair \("):
+            IntervalOrder.from_relation(3, [(1, 2), pair])
+
+    def test_refusal_is_the_same_under_any_hash_seed(self):
+        # the down-sets {1} and {3} sort in set order; the message must not
+        code = (
+            "from sandnara.classes import IntervalOrder\n"
+            "from sandnara.errors import NotIntervalOrder\n"
+            "try:\n"
+            "    IntervalOrder.from_relation(4, [(1, 2), (3, 4)])\n"
+            "except NotIntervalOrder as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        src = str(Path(sandnara.__file__).resolve().parent.parent)
+        outs = set()
+        for seed in ("0", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+            )
+            assert done.returncode == 0, done.stderr
+            outs.add(done.stdout.strip())
+        assert outs == {"NotIntervalOrder down-sets are not a chain under inclusion"}
+
 
 class TestTwoPlusTwoFree:
     def test_two_disjoint_chains(self):
@@ -370,6 +412,27 @@ class TestTwoPlusTwoFree:
             )
             assert is_two_plus_two_free(4, rel) == brute_free
         assert count == 219  # labeled posets on 4 points
+
+    def test_every_irreflexive_relation_on_four_points(self):
+        # all 4,096 relations, orders or not: free means a strict partial
+        # order with no induced 2+2, found by brute force
+        points = range(1, 5)
+        pairs = list(itertools.permutations(points, 2))
+        free_count = 0
+        for bits in itertools.product([0, 1], repeat=len(pairs)):
+            rel = {p for p, b in zip(pairs, bits) if b}
+            order = all((y, x) not in rel for (x, y) in rel) and all(
+                (x, z) in rel for (x, y) in rel for (y2, z) in rel if y2 == y
+            )
+            two_plus_two = any(
+                {(a, b), (c, d)} <= rel
+                and not {(a, d), (c, b)} & rel
+                for a, b, c, d in itertools.permutations(points)
+            )
+            free = order and not two_plus_two
+            assert is_two_plus_two_free(4, rel) == free, rel
+            free_count += free
+        assert free_count == 207  # labeled (2+2)-free posets on 4 points
 
 
 class TestDual:

@@ -9,6 +9,8 @@ import pytest
 from sandnara.cli import main
 from sandnara.qt import narayana_poly
 
+RIBBON = json.dumps({"m": 2, "n": 2, "upper": "NENE", "lower": "EENN"})
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -49,6 +51,18 @@ class TestStabilize:
         )
         assert code == 0 and out.endswith("\n")
         json.loads(out)
+
+    def test_csv_format(self, capsys):
+        # one header row of sorted keys, one row of JSON-encoded values
+        code, out, _ = run(
+            capsys, "stabilize", "--m", "3", "--n", "4",
+            "--heights", "2,0,3,2,1,3", "--format", "csv",
+        )
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["heights", "m", "n", "topple_counts"],
+            ["[1, 3, 1, 0, 2, 1]", "3", "4", "[1, 0, 1, 1, 0, 1]"],
+        ]
 
 
 class TestCheck:
@@ -253,6 +267,79 @@ class TestMap:
         assert out == ""
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (["to-matrix", "--m", "7", "--n", "2", "--heights", "1,0,1"],
+             "map to-matrix does not take --m"),
+            (["to-matrix", "--m", "5", "--n", "3", "--heights", "2,0,0,1,0"],
+             "map to-matrix does not take --m"),
+            (["to-dyck", "--m", "9", "--n", "7", "--heights", "5,5,3,2,2,1"],
+             "map to-dyck does not take --m"),
+            (["upsilon", "--n", "3", "--input", RIBBON],
+             "map upsilon does not take --n"),
+            (["to-polyomino", "--inverse", "--m", "3", "--input", RIBBON],
+             "map to-polyomino --inverse does not take --m"),
+            (["to-poset", "--n", "2", "--heights", "1,0,1", "--input", "{}"],
+             "map to-poset does not take --input"),
+            (["to-polyomino", "--m", "2", "--n", "2", "--heights", "1,0,0", "--input", "{}"],
+             "map to-polyomino does not take --input"),
+            (["to-dyck", "--inverse", "--n", "2", "--heights", "1", "--input", "{}"],
+             "map to-dyck --inverse does not take --n, --heights"),
+        ],
+    )
+    def test_unread_options_exit_2(self, capsys, argv, detail):
+        code, out, err = run(capsys, "map", *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ValueError", "detail": detail}
+
+    @pytest.mark.parametrize(
+        "form, detail",
+        [
+            ({"n": 2, "downsets": [[1]], "levels": [[1, 2]]},
+             "chain form does not round-trip through its matrix"),
+            ({"n": 3, "downsets": [[], [1], [1]], "levels": [[1], [2], [3]]},
+             "chain form has no interval-order matrix: column 2 is empty"),
+            ({"n": 2, "downsets": [[], [1]], "levels": [[1], [1, 2]]},
+             "chain form has no interval-order matrix: row 1 is empty"),
+            ({"n": 2, "downsets": [[], [1]], "levels": [[1, 2], []]},
+             "chain form has no interval-order matrix: row 2 is empty"),
+            ({"n": 3, "downsets": [[], [1]], "levels": [[1], [2]]},
+             "element 3 is in no level"),
+            ({"n": 2, "downsets": [[], [1]], "levels": [[1], [2, 3]]},
+             "chain form does not round-trip through its matrix"),
+            ({"n": 2, "downsets": [[], [1]], "levels": [[2], [1]]},
+             "chain form has no interval-order matrix: "
+             "poset correspondence needs an upper-triangular matrix"),
+            ({"n": 2, "downsets": [[], [1, 2]], "levels": [[1], [2]]},
+             "chain form has no interval-order matrix: column 2 is empty"),
+        ],
+        ids=[
+            "d0-not-empty",
+            "downsets-not-increasing",
+            "levels-overlap",
+            "level-empty",
+            "levels-miss-an-element",
+            "level-outside-ground-set",
+            "element-in-own-downset",
+            "top-downset-is-ground-set",
+        ],
+    )
+    def test_bad_chain_form_exit_2(self, capsys, form, detail):
+        code, out, err = run(
+            capsys, "map", "to-poset", "--inverse", "--input", json.dumps(form)
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "NotIntervalOrder", "detail": detail}
+
+    def test_input_from_file_and_stdin(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "ribbon.json"
+        path.write_text(RIBBON, encoding="utf-8")
+        direct = run_json(capsys, "map", "upsilon", "--input", RIBBON)
+        assert run_json(capsys, "map", "upsilon", "--input", f"@{path}") == direct
+        monkeypatch.setattr("sys.stdin", io.StringIO(RIBBON))
+        assert run_json(capsys, "map", "upsilon", "--input", "-") == direct
+
     @pytest.mark.parametrize("what", ["to-matrix", "to-poset"])
     def test_matrix_maps_refuse_n_1_exit_2(self, capsys, what):
         code, out, err = run(capsys, "map", what, "--n", "1", "--heights", "0")
@@ -329,6 +416,15 @@ class TestPoly:
         error = json.loads(err)
         assert error["error"] == "ValueError"
         assert error["detail"] == f"poly --series does not take {named}"
+
+    @pytest.mark.parametrize("box", [[], ["--m", "2"], ["--n", "2"]])
+    def test_needs_series_or_box_exit_2(self, capsys, box):
+        code, out, err = run(capsys, "poly", *box)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "detail": "poly needs either --series or both --m and --n",
+        }
 
     def test_order_without_series_exit_2(self, capsys):
         code, out, err = run(capsys, "poly", "--m", "2", "--n", "2", "--order", "3")

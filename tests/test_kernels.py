@@ -3,6 +3,7 @@ reference transcriptions of their definitions (tests/sandpile_oracles.py):
 exhaustively on small boxes, and drawn at random sizes up to 12."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,12 @@ from sandnara.classes import (
     matrix_of_poset,
     poset_of_matrix,
 )
-from sandnara.errors import NotRecurrent, NotUpperTriangular, SandnaraError
+from sandnara.errors import (
+    NotIntervalOrder,
+    NotRecurrent,
+    NotUpperTriangular,
+    SandnaraError,
+)
 from sandnara.kn import DyckPath, KnConfig, diag, diag_from_dyck, dyck_of, enumerate_dyck
 from sandnara.polyomino import (
     CellSet,
@@ -39,6 +45,7 @@ from sandnara.sandpile import (
 
 from sandpile_oracles import (
     burn_waves,
+    chain_form_by_rules,
     chain_of_rows,
     check_bicomp_words,
     check_bipartite_heights,
@@ -423,3 +430,94 @@ class TestCheckForms:
                 for rows in _words(letters, size):
                     for cols in itertools.product(letters, repeat=len(rows)):
                         _same_fault(BicompMatrix, check_bicomp_words, k, rows, cols)
+
+
+def _subsets(items):
+    return [frozenset(c) for r in range(len(items) + 1) for c in itertools.combinations(items, r)]
+
+
+def _same_chain_verdict(n, downsets, levels) -> bool:
+    """`_from_chain` accepts the form exactly when the eight rules do, and
+    then builds the matrix L_i & (D_{j+1} - D_j); returns the verdict."""
+    try:
+        order = IntervalOrder._from_chain(n, downsets, levels)
+    except NotIntervalOrder:
+        order = None
+    ok = chain_form_by_rules(n, downsets, levels)
+    assert (order is not None) == ok, (n, downsets, levels)
+    if ok:
+        assert order.matrix.rows == rows_of_chain(n, downsets, levels)
+    return ok
+
+
+def _interval_chain_form(rng):
+    """Chain form of the interval order of n random intervals, x < y iff x
+    ends before y starts, read off the intervals with no library call."""
+    n = rng.randint(1, 9)
+    ends = [sorted(rng.sample(range(2 * n + 2), 2)) for _ in range(n)]
+    down = {
+        x: frozenset(y for y in range(1, n + 1) if ends[y - 1][1] < ends[x - 1][0])
+        for x in range(1, n + 1)
+    }
+    downsets = sorted(set(down.values()), key=len)
+    return n, downsets, [frozenset(x for x in down if down[x] == d) for d in downsets]
+
+
+def _mutated(rng, n, downsets, levels):
+    """One or two random edits of the down-sets or the levels: toggle an
+    element (0 and n + 1 included), swap, drop or insert a set, or move an
+    element from one set to another."""
+    d, lv = list(downsets), list(levels)
+    for _ in range(rng.randint(1, 2)):
+        seq = rng.choice((d, lv))
+        op = rng.randrange(5)
+        if op == 0 and seq:
+            i = rng.randrange(len(seq))
+            seq[i] = seq[i] ^ {rng.randint(0, n + 1)}
+        elif op == 1 and len(seq) > 1:
+            i, j = rng.sample(range(len(seq)), 2)
+            seq[i], seq[j] = seq[j], seq[i]
+        elif op == 2 and seq:
+            del seq[rng.randrange(len(seq))]
+        elif op == 3:
+            copy = seq and rng.random() < 0.5
+            seq.insert(rng.randrange(len(seq) + 1), rng.choice(seq) if copy else frozenset())
+        elif op == 4 and seq:
+            i, j = rng.randrange(len(seq)), rng.randrange(len(seq))
+            if seq[i]:
+                x = rng.choice(sorted(seq[i]))
+                seq[i], seq[j] = seq[i] - {x}, seq[j] | {x}
+    return tuple(d), tuple(lv)
+
+
+class TestChainFormAgainstRules:
+    """`IntervalOrder._from_chain` checks a chain form only by its round trip
+    through the matrix; it must give the verdict of the eight rules the form
+    has to meet, and the same matrix whenever it accepts."""
+
+    def test_every_small_form(self):
+        # (n, extra elements outside {1..n}, most down-sets or levels)
+        domains = [(0, 1, 3), (1, 1, 3), (2, 1, 2), (2, 0, 3), (3, 0, 2)]
+        accepted = []
+        for n, extra, most in domains:
+            sets = _subsets(range(1, n + extra + 1))
+            accepted.append(0)
+            for k in range(most + 1):
+                for count in range(max(0, k - 1), min(most, k + 1) + 1):
+                    for downsets in itertools.product(sets, repeat=k):
+                        for levels in itertools.product(sets, repeat=count):
+                            accepted[-1] += _same_chain_verdict(n, downsets, levels)
+        # none on 0 points (a matrix has a row), the 1 and 3 labeled interval
+        # orders on 1 and 2 points, and on 3 points the 13 of the 19 with at
+        # most two levels (the six chains need three)
+        assert accepted == [0, 1, 3, 3, 13]
+
+    def test_mutations_of_valid_forms(self):
+        rng = random.Random(23)
+        verdicts = []
+        for _ in range(2000):
+            n, downsets, levels = _interval_chain_form(rng)
+            assert _same_chain_verdict(n, tuple(downsets), tuple(levels))
+            for _ in range(10):
+                verdicts.append(_same_chain_verdict(n, *_mutated(rng, n, downsets, levels)))
+        assert 0 < sum(verdicts) < len(verdicts)

@@ -85,6 +85,13 @@ class TestRecurrence:
     def test_six_vertex_example(self):
         assert kn_is_recurrent(KnConfig(6, (4, 4, 3, 2, 0)))
 
+    def test_unstable_is_not_recurrent(self):
+        # a height of n - 1 topples at once, so neither criterion accepts it
+        cfg = KnConfig(3, (2, 0))
+        assert not cfg.is_stable()
+        assert kn_is_recurrent_burning(cfg) is False
+        assert kn_is_recurrent(cfg) is False
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_parking_equals_burning(self, n):
         for x in itertools.product(range(n - 1), repeat=n - 1):

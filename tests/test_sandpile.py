@@ -178,6 +178,14 @@ class TestOneBurn:
         with pytest.raises(ValueError):
             canon_top(cfg)
 
+    def test_unstable_is_not_recurrent(self, burns):
+        # burn refuses an unstable state; the callers that need Rec say why
+        cfg = BipartiteConfig(8, 8, (9,) + self.TOP_HEAVY.heights[1:])
+        with pytest.raises(NotRecurrent, match="is not recurrent"):
+            sandpile._require_recurrent(cfg)
+        with pytest.raises(NotRecurrent):
+            is_minanz(cfg)
+
     @pytest.mark.parametrize(
         "fn", [is_minanz, decorate, matrix_of_config], ids=lambda fn: fn.__name__
     )
