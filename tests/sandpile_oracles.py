@@ -320,7 +320,6 @@ def check_bicomp_words(k, rows, cols) -> None:
             raise InvalidMatrix(f"column {i + 1} is empty")
 
 
-
 def chain_form_by_rules(n: int, downsets, levels) -> bool:
     """Whether (down-sets, levels) is the chain form of an interval order on
     {1..n}: as many levels as down-sets, at least one; D_0 empty; the

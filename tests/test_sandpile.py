@@ -178,7 +178,7 @@ class TestOneBurn:
         with pytest.raises(ValueError):
             canon_top(cfg)
 
-    def test_unstable_is_not_recurrent(self, burns):
+    def test_unstable_is_not_recurrent(self):
         # burn refuses an unstable state; the callers that need Rec say why
         cfg = BipartiteConfig(8, 8, (9,) + self.TOP_HEAVY.heights[1:])
         with pytest.raises(NotRecurrent, match="is not recurrent"):
